@@ -32,8 +32,8 @@ from .grid import (DefectVector, KernelMatrix, RiemannReport, grid_nodes,
 from .lab import (BalanceStudyRecord, ConvergenceRecord, RunConfig, fit_rate,
                   load_config, run_balance_study, run_converge,
                   run_solve_bridge, run_validate_cost)
-from .permanent import (PermanentValue, compute_Dn, compute_Dn_hat,
-                        compute_Ln, permanent_brute, permanent_exact)
+from .permanent import (PermanentValue, compute_Dn, permanent_brute,
+                        permanent_exact)
 from .spectral import (SpectrumReport, bn_matrix, centered_nystrom,
                        eigen_symmetric, fredholm_limit, mccullagh_estimate,
                        spectral_gap_check)

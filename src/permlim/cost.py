@@ -221,6 +221,23 @@ _ALLOWED_NODES = (
 )
 
 
+class _FloatConstants(ast.NodeTransformer):
+    """Replaces each numeric constant by a name bound in env to np.float64.
+
+    Constant-only arithmetic then runs in float64, so ``10**400`` overflows
+    to inf, which the finiteness checks reject, instead of building an
+    unbounded Python int.
+    """
+
+    def __init__(self, env: dict):
+        self.env = env
+
+    def visit_Constant(self, node):
+        name = f"_c{len(self.env)}"
+        self.env[name] = np.float64(node.value)
+        return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
+
+
 def _compile_expression(expr: str) -> Callable:
     try:
         tree = ast.parse(expr, mode="eval")
@@ -242,8 +259,8 @@ def _compile_expression(expr: str) -> Callable:
                 raise ValueError("cost expression functions take one plain argument")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError("only numeric constants allowed in cost expression")
-    code = compile(tree, "<cost-expression>", "eval")
     env = dict(_ALLOWED_CALLS, pi=math.pi, e=math.e)
+    code = compile(_FloatConstants(env).visit(tree), "<cost-expression>", "eval")
 
     def ev(x, y):
         return np.asarray(eval(code, {"__builtins__": {}}, dict(env, x=x, y=y)),

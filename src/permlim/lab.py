@@ -5,7 +5,7 @@ A study is described by an INI config (sections [cost] or [kernel],
 
 * run_validate_cost: grid checks on the configured cost.
 * run_solve_bridge:  potential solve, persisted as a (node, a_value) CSV.
-* run_converge:      per-n kernel -> balance -> exact permanents ->
+* run_converge:      per-n kernel -> balance -> one exact permanent ->
   determinant estimates, against the shared Fredholm limit; emits the
   convergence CSV and a fitted rate.
 * run_balance_study: balancing diagnostics only (no permanents), with the
@@ -50,7 +50,7 @@ _SECTIONS = {
     "kernel": {"kind", "eps", "path"},
     "bridge": {"m", "tol", "max_iter", "damping"},
     "study": {"n_list", "permanent_cap", "balance_tol", "balance_max_iter",
-              "nystrom_m", "eig_cutoff", "refinement_tol", "workers", "method"},
+              "nystrom_m", "eig_cutoff", "refinement_tol", "workers"},
     "output": {"csv_path", "eigen_dump"},
 }
 
@@ -75,7 +75,6 @@ class RunConfig:
     eig_cutoff: float = spectral_mod.DEFAULT_EIG_CUTOFF
     refinement_tol: float = spectral_mod.DEFAULT_REFINEMENT_TOL
     workers: int = 1
-    method: str = "ryser"
     csv_path: str | None = None
     eigen_dump: bool = False
 
@@ -164,9 +163,6 @@ def load_config(path) -> RunConfig:
         kwargs["refinement_tol"] = _get(sec, "refinement_tol", float,
                                         spectral_mod.DEFAULT_REFINEMENT_TOL)
         kwargs["workers"] = _get(sec, "workers", int, 1)
-        kwargs["method"] = sec.get("method", "ryser").strip()
-        if kwargs["method"] not in permanent_mod.METHODS:
-            raise ConfigError(f"unknown permanent method {kwargs['method']!r}")
     if parser.has_section("output"):
         sec = parser["output"]
         if "csv_path" in sec:
@@ -325,27 +321,25 @@ def _converge_one(config, source, solution, g0, fredholm_value, n):
     d = balance_mod.balance_diagnostics(res)
 
     t0 = time.perf_counter()
-    Dn = permanent_mod.compute_Dn(K, method=config.method,
-                                  cap=config.permanent_cap,
-                                  workers=config.workers)
-    Dh = permanent_mod.compute_Dn_hat(res, method=config.method,
-                                      cap=config.permanent_cap,
-                                      workers=config.workers)
+    Dn = permanent_mod.compute_Dn(K, cap=config.permanent_cap,
+                                  workers=config.workers).value
+    wall_perm = 1e3 * (time.perf_counter() - t0)
+    # One permanent per row: balanced = diag(u) K diag(u), and for bridge
+    # sources K = diag(exp(-a)) exp(-C) diag(exp(-a)), so multilinearity
+    # gives the other two permanents as D_n times a diagonal product.
+    Dh = Dn * d.prod_u_sq
     if solution is not None:
-        Ln = permanent_mod.compute_Ln(config.cost, n, method=config.method,
-                                      cap=config.permanent_cap,
-                                      workers=config.workers)
-        ln_scaled = Ln.value * math.exp(n * g0)
+        a = bridge_mod.evaluate_potential(solution, grid_mod.grid_nodes(n))
+        ln_scaled = Dn * math.exp(2.0 * math.fsum(a) + n * g0)
     else:
         ln_scaled = math.nan
-    wall_perm = 1e3 * (time.perf_counter() - t0)
 
     mcc = spectral_mod.mccullagh_estimate(res.balanced / n)
     return ConvergenceRecord(
-        n=n, D_n=Dn.value, D_n_hat=Dh.value, L_n_scaled=ln_scaled,
+        n=n, D_n=Dn, D_n_hat=Dh, L_n_scaled=ln_scaled,
         mccullagh=mcc, fredholm_limit=fredholm_value,
-        err_Dn=abs(Dn.value - fredholm_value),
-        err_ratio_mcc=abs(mcc / Dh.value - 1.0),
+        err_Dn=abs(Dn - fredholm_value),
+        err_ratio_mcc=abs(mcc / Dh - 1.0),
         h_norm_2n=d.norm_2n_h, h_norm_inf=d.norm_inf_h, sum_log=d.sum_log,
         m_n=d.m_n, wall_ms_permanent=wall_perm, wall_ms_balance=wall_balance)
 

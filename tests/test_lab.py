@@ -41,7 +41,6 @@ beta = 2.5
     assert cfg.bridge_m == 400
     assert cfg.balance_tol == 1e-12
     assert cfg.workers == 1
-    assert cfg.method == "ryser"
     assert cfg.n_list is None
     assert cfg.csv_path is None
     assert cfg.eigen_dump is False
@@ -59,7 +58,6 @@ permanent_cap = 20
 balance_tol = 1e-10
 nystrom_m = 96
 workers = 3
-method = glynn
 
 [output]
 csv_path = {tmp_path / "out.csv"}
@@ -71,7 +69,6 @@ eigen_dump = yes
     assert cfg.balance_tol == 1e-10
     assert cfg.nystrom_m == 96
     assert cfg.workers == 3
-    assert cfg.method == "glynn"
     assert cfg.eigen_dump is True
 
 
@@ -92,7 +89,7 @@ path = table.txt
      "strictly increasing"),
     ("[kernel]\nkind = constant\n\n[study]\nn_list = 0 2\n", "positive"),
     ("[kernel]\nkind = constant\n\n[study]\nmethod = cofactor\n",
-     "unknown permanent method"),
+     "unknown keys"),
     ("[kernel]\nkind = constant\n\n[study]\nworkers = many\n", "bad value"),
     ("[cost]\nfamily = sinister\n", "unknown cost family"),
     ("[cost]\nfamily = tabulated\n", "path"),
@@ -411,3 +408,22 @@ csv_path = {tmp_path / "o.csv"}
 """)
     assert main(["converge", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def test_cli_overflowing_constant_maps_to_validation_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[cost]
+family = custom-expression
+expression = 10**400 * (x - y)**2
+
+[study]
+n_list = 2
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+""")
+    assert main(["validate-cost", "--config", cfg]) == 2
+    assert "finiteness: fail" in capsys.readouterr().out
+    with pytest.warns(RuntimeWarning):
+        assert main(["converge", "--config", cfg]) == 2
+    assert "non-finite" in capsys.readouterr().err

@@ -1,12 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import permlim.permanent as permanent_module
-from permlim import (CapExceededError, RuntimeBudgetWarning, balance_fixed_point,
-                     compute_Dn, compute_Dn_hat, compute_Ln, permanent_brute,
-                     permanent_exact, quadratic_cost, sample_kernel)
+from permlim import (CapExceededError, RunConfig, RuntimeBudgetWarning,
+                     balance_fixed_point, bridge_source, compute_Dn, gamma0,
+                     grid_nodes, permanent_brute, permanent_exact,
+                     quadratic_cost, run_converge, sample_kernel,
+                     solve_potential)
+
+ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
 
 def test_identity_and_ones():
@@ -18,8 +23,7 @@ def test_identity_and_ones():
 
 def test_two_by_two():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    for method in ("ryser", "glynn"):
-        assert permanent_exact(M, method).value == pytest.approx(10.0, abs=1e-12)
+    assert permanent_exact(M).value == pytest.approx(10.0, abs=1e-12)
     assert permanent_brute(M).value == pytest.approx(10.0, abs=1e-12)
 
 
@@ -29,9 +33,7 @@ def test_methods_agree_with_brute_force():
         for _ in range(5):
             M = rng.uniform(0.0, 2.0, (n, n))
             ref = permanent_brute(M).value
-            for method in ("ryser", "glynn"):
-                val = permanent_exact(M, method).value
-                assert abs(val - ref) <= 1e-12 * ref
+            assert abs(permanent_exact(M).value - ref) <= 1e-12 * ref
 
 
 def test_row_scaling_multilinearity():
@@ -70,8 +72,6 @@ def test_caps_and_validation():
         permanent_brute(np.ones((10, 10)))
     with pytest.raises(ValueError, match="non-finite"):
         permanent_exact(np.array([[1.0, np.nan], [1.0, 1.0]]))
-    with pytest.raises(ValueError, match="method"):
-        permanent_exact(np.ones((3, 3)), method="laplace")
     with pytest.raises(ValueError):
         permanent_exact(np.ones((3, 3)), workers=0)
 
@@ -84,10 +84,8 @@ def test_runtime_warning_threshold(monkeypatch):
 
 def test_worker_count_does_not_change_bits(cosine_half):
     K = sample_kernel(cosine_half, 12)
-    for method in ("ryser", "glynn"):
-        vals = [compute_Dn(K, method=method, workers=w).value
-                for w in (1, 2, 5)]
-        assert len({v.hex() for v in vals}) == 1
+    vals = [compute_Dn(K, workers=w).value for w in (1, 2, 5)]
+    assert len({v.hex() for v in vals}) == 1
 
 
 def test_compute_Dn_constant_is_one(const_source):
@@ -115,7 +113,7 @@ def test_Dn_hat_equals_Dn_times_scaling(cosine_half):
     K = sample_kernel(cosine_half, 10)
     res = balance_fixed_point(K)
     Dn = compute_Dn(K).value
-    Dh = compute_Dn_hat(res).value
+    Dh = compute_Dn(res.balanced).value
     prod_u_sq = float(np.prod(res.u * res.u))
     assert abs(Dh / (Dn * prod_u_sq) - 1.0) <= 1e-10
 
@@ -123,16 +121,82 @@ def test_Dn_hat_equals_Dn_times_scaling(cosine_half):
 def test_Dn_hat_trivial_when_unperturbed(const_source):
     K = sample_kernel(const_source, 6)
     res = balance_fixed_point(K)
-    assert compute_Dn_hat(res).value == compute_Dn(K).value
+    assert compute_Dn(res.balanced).value == compute_Dn(K).value
 
 
 def test_compute_Ln_values():
+    """L_n = per(exp(-c(i/n, j/n)))/n!, the normalised partition function."""
     zero = quadratic_cost(0.0)
     for n in (1, 4):
-        assert compute_Ln(zero, n).value == pytest.approx(1.0, abs=1e-12)
+        assert _Ln(zero, n) == pytest.approx(1.0, abs=1e-12)
     quad = quadratic_cost(1.0)
-    assert compute_Ln(quad, 1).value == pytest.approx(1.0, abs=1e-15)
+    assert _Ln(quad, 1) == pytest.approx(1.0, abs=1e-15)
     expected = (1.0 + math.exp(-0.5)) / 2.0
-    assert compute_Ln(quad, 2).value == pytest.approx(expected, abs=1e-14)
-    with pytest.raises(ValueError):
-        compute_Ln(quad, 0)
+    assert _Ln(quad, 2) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_compute_Dn_matches_exact_permanent(n, cosine_half, quad_source):
+    for source in (cosine_half, quad_source):
+        K = sample_kernel(source, n)
+        assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+
+
+def test_converge_derived_columns_match_exact_permanents(tmp_path, quad_cost):
+    n = 12
+    cfg = RunConfig(cost=quad_cost, n_list=(n,), nystrom_m=64,
+                    csv_path=str(tmp_path / "row.csv"))
+    (row,) = run_converge(cfg)
+    solution = solve_potential(quad_cost, m=cfg.bridge_m, tol=cfg.bridge_tol)
+    res = balance_fixed_point(sample_kernel(bridge_source(solution), n),
+                              tol=cfg.balance_tol)
+    t = grid_nodes(n)
+    raw = np.exp(-quad_cost(t[:, None], t[None, :]))
+    assert _rel_err(row.D_n_hat, _exact_Dn(res.balanced)) <= ORACLE_TOL
+    Ln = row.L_n_scaled / math.exp(n * gamma0(solution))
+    assert _rel_err(Ln, _exact_Dn(raw)) <= ORACLE_TOL
+
+
+def _Ln(cost, n):
+    t = grid_nodes(n)
+    return compute_Dn(np.exp(-cost(t[:, None], t[None, :]))).value
+
+
+def _rel_err(value, exact):
+    return abs(float((Fraction(value) - exact) / exact))
+
+
+def _exact_Dn(A):
+    """per(A)/n! exactly, for the float64 matrix A as given.
+
+    Every float64 is an integer over a power of two, so scaling each row by
+    its largest denominator turns A into Python ints without rounding; a
+    Gray-code Ryser sum over those ints is then exact.
+    """
+    rows, shift = [], 0
+    for row in np.asarray(A, dtype=np.float64):
+        ratios = [float(v).as_integer_ratio() for v in row]
+        d = max(den.bit_length() - 1 for _, den in ratios)
+        rows.append([num << (d - den.bit_length() + 1) for num, den in ratios])
+        shift += d
+    n = len(rows)
+    cols = list(zip(*rows))
+    sums, inside, size, total = [0] * n, [False] * n, 0, 0
+    for k in range(1, 1 << n):  # k-th Gray code flips column j
+        j = (k & -k).bit_length() - 1
+        step = -1 if inside[j] else 1
+        inside[j] = not inside[j]
+        size += step
+        sums = [s + step * c for s, c in zip(sums, cols[j])]
+        term = math.prod(sums)
+        total += term if (n - size) % 2 == 0 else -term
+    return Fraction(total, math.factorial(n) << shift)
+
+
+def test_exact_oracle_matches_brute_force():
+    rng = np.random.default_rng(11)
+    assert _exact_Dn(np.ones((6, 6))) == 1
+    for n in (1, 3, 6):
+        M = rng.uniform(0.1, 2.0, (n, n))
+        brute = permanent_brute(M).value / math.factorial(n)
+        assert _rel_err(brute, _exact_Dn(M)) <= 1e-14
