@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import CostFunction
+from .cost import CostFunction, bilinear_interpolant
 from .errors import ConvergenceError, OverflowGuardError, SmoothnessWarning
 
 _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
@@ -81,7 +81,8 @@ def solve_potential(
             SmoothnessWarning, stacklevel=2)
 
     nodes = (np.arange(m) + 0.5) / m
-    C = np.asarray(cost.evaluator(nodes[:, None], nodes[None, :]), dtype=float)
+    with np.errstate(all="ignore"):  # non-finite values are rejected below
+        C = np.asarray(cost.evaluator(nodes[:, None], nodes[None, :]), dtype=float)
     if not np.isfinite(C).all():
         raise ValueError("cost evaluates to non-finite values on the grid")
     G = np.exp(-C)  # c >= 0 so entries lie in (0, 1]
@@ -243,18 +244,7 @@ def cosine_source(eps: float) -> DensitySource:
 
 def tabulated_source(values: np.ndarray) -> DensitySource:
     """Bilinear interpolation of an n x n matrix sampled at nodes i/(n-1)."""
-    from .cost import _bilinear
-
-    values = np.array(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
-        raise ValueError("tabulated kernel needs a square matrix with n >= 2")
-    values.setflags(write=False)
-    n = values.shape[0]
-
-    def rho(x, y):
-        return _bilinear(values, np.asarray(x, dtype=float) * (n - 1),
-                         np.asarray(y, dtype=float) * (n - 1))
-
+    rho, n = bilinear_interpolant(values)
     return DensitySource("tabulated-kernel", rho, f"tabulated({n}x{n})")
 
 

@@ -1,8 +1,9 @@
 """Command-line entry point: `permlim <subcommand> --config <path>`.
 
 Subcommands: validate-cost, solve-bridge, converge, balance-study.
-Exit codes: 0 success, 1 config error, 2 validation failure, 3 bridge
-failure, 4 balance failure, 5 spectral hypothesis failure.
+Exit codes: 0 success, 1 config error or unreadable/unwritable file,
+2 validation failure, 3 bridge failure, 4 balance failure, 5 spectral
+hypothesis failure.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ def main(argv=None) -> int:
         # bad numerical input discovered mid-stage (asymmetry, negativity, ...)
         print(f"permlim: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # e.g. an output path in a missing directory
+        print(f"permlim: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

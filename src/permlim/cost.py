@@ -103,29 +103,35 @@ def absolute_cost(beta: float = 1.0) -> CostFunction:
 
 def tabulated_cost(values: np.ndarray) -> CostFunction:
     """Bilinear interpolation of an m x m table sampled at nodes i/(m-1)."""
-    values = np.array(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
-        raise ValueError("tabulated cost needs a square table with m >= 2")
-    values.setflags(write=False)
-    m = values.shape[0]
-
-    def ev(x, y):
-        return _bilinear(values, np.asarray(x, dtype=float) * (m - 1),
-                         np.asarray(y, dtype=float) * (m - 1))
-
+    ev, m = bilinear_interpolant(values)
     return CostFunction("tabulated", (float(m),), ev, "C0", f"tabulated({m}x{m})")
 
 
-def load_tabulated_cost(path) -> CostFunction:
-    """Read a table file: first token m, then m*m whitespace-separated values."""
-    tokens = open(path).read().split()
-    if not tokens:
-        raise ValueError(f"empty tabulated cost file {path}")
-    m = int(tokens[0])
-    vals = np.array([float(t) for t in tokens[1:]])
-    if vals.size != m * m:
-        raise ValueError(f"expected {m * m} values in {path}, found {vals.size}")
-    return tabulated_cost(vals.reshape(m, m))
+def bilinear_interpolant(values) -> tuple[Callable, int]:
+    """Bilinear interpolant on [0,1]^2 of an m x m table at nodes i/(m-1).
+
+    The table is validated (square, m >= 2) and frozen as a private copy;
+    returns the evaluator f(x, y), clamped to the unit square, and m.
+    """
+    table = np.array(values, dtype=float)
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 2:
+        raise ValueError("a tabulated function needs a square table with m >= 2")
+    table.setflags(write=False)
+    m = table.shape[0]
+
+    def interpolate(x, y):
+        ti = np.clip(np.asarray(x, dtype=float) * (m - 1), 0.0, m - 1.0)
+        tj = np.clip(np.asarray(y, dtype=float) * (m - 1), 0.0, m - 1.0)
+        i0 = np.minimum(np.floor(ti).astype(int), m - 2)
+        j0 = np.minimum(np.floor(tj).astype(int), m - 2)
+        fi = ti - i0
+        fj = tj - j0
+        return ((1 - fi) * (1 - fj) * table[i0, j0]
+                + (1 - fi) * fj * table[i0, j0 + 1]
+                + fi * (1 - fj) * table[i0 + 1, j0]
+                + fi * fj * table[i0 + 1, j0 + 1])
+
+    return interpolate, m
 
 
 def expression_cost(expr: str, smoothness_claim: str = "C2") -> CostFunction:
@@ -193,21 +199,6 @@ def _check_beta(beta: float) -> float:
     if not (beta >= 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be a finite nonnegative real")
     return beta
-
-
-def _bilinear(table: np.ndarray, ti, tj):
-    """Bilinear interpolation on index coordinates, clamped to the table."""
-    m = table.shape[0]
-    ti = np.clip(ti, 0.0, m - 1.0)
-    tj = np.clip(tj, 0.0, m - 1.0)
-    i0 = np.minimum(np.floor(ti).astype(int), m - 2)
-    j0 = np.minimum(np.floor(tj).astype(int), m - 2)
-    fi = ti - i0
-    fj = tj - j0
-    return ((1 - fi) * (1 - fj) * table[i0, j0]
-            + (1 - fi) * fj * table[i0, j0 + 1]
-            + fi * (1 - fj) * table[i0 + 1, j0]
-            + fi * fj * table[i0 + 1, j0 + 1])
 
 
 _ALLOWED_CALLS = {

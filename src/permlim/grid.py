@@ -80,7 +80,8 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
     stated for positive kernels.
     """
     t = grid_nodes(n)
-    K = np.asarray(source(t[:, None], t[None, :]), dtype=float)
+    with np.errstate(all="ignore"):  # non-finite values are rejected below
+        K = np.asarray(source(t[:, None], t[None, :]), dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"density returned shape {K.shape}, expected {(n, n)}")
     if not np.isfinite(K).all():
@@ -177,7 +178,8 @@ def save_matrix(path, K) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read the matrix format written by :func:`save_matrix`."""
-    tokens = open(path).read().split()
+    with open(path) as fh:
+        tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"empty matrix file {path}")
     n = int(tokens[0])

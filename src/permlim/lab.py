@@ -368,8 +368,8 @@ def _build_cost(sec, path) -> cost_mod.CostFunction:
         if family == "tabulated":
             if "path" not in sec:
                 raise ConfigError("tabulated cost requires a path key")
-            return cost_mod.load_tabulated_cost(
-                _resolve(path, sec["path"].strip()))
+            return cost_mod.tabulated_cost(
+                grid_mod.load_matrix(_resolve(path, sec["path"].strip())))
         if family == "custom-expression":
             if "expression" not in sec:
                 raise ConfigError("custom-expression cost requires expression")
@@ -392,9 +392,8 @@ def _build_kernel(sec, path) -> bridge_mod.DensitySource:
         if kind == "tabulated":
             if "path" not in sec:
                 raise ConfigError("tabulated kernel requires a path key")
-            from .grid import load_matrix
             return bridge_mod.tabulated_source(
-                load_matrix(_resolve(path, sec["path"].strip())))
+                grid_mod.load_matrix(_resolve(path, sec["path"].strip())))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"invalid [kernel] section: {exc}") from exc
     raise ConfigError(f"unknown kernel kind {kind!r} in [kernel] section")

