@@ -4,7 +4,7 @@ A study is described by an INI config (sections [cost] or [kernel],
 [bridge], [study], [output]) and executed by one of four runners:
 
 * run_validate_cost: grid checks on the configured cost.
-* run_solve_bridge:  potential solve, persisted as a (node, a_value) CSV.
+* run_solve_bridge:  potential solve, persisted as a node,weight,a_value CSV.
 * run_converge:      per-n kernel -> balance -> one exact permanent ->
   determinant estimates, against the shared Fredholm limit; emits the
   convergence CSV and a fitted rate.
@@ -186,18 +186,17 @@ def run_validate_cost(config: RunConfig):
 
 
 def run_solve_bridge(config: RunConfig) -> bridge_mod.PotentialSolution:
-    """Solve the potential equation and persist (node, a_value) rows."""
+    """Solve the potential equation and persist (node, weight, a_value) rows."""
     if config.cost is None:
         raise ConfigError("solve-bridge requires a [cost] section")
-    if config.csv_path is None:
-        raise ConfigError("solve-bridge requires csv_path in [output]")
+    _require_csv_path(config, "solve-bridge")
     solution = bridge_mod.solve_potential(
         config.cost, m=config.bridge_m, tol=config.bridge_tol,
         max_iter=config.bridge_max_iter, damping=config.bridge_damping)
     with open(config.csv_path, "w") as fh:
-        fh.write("node,a_value\n")
-        for node, a in zip(solution.nodes, solution.a_values):
-            fh.write(f"{float(node)!r},{float(a)!r}\n")
+        fh.write("node,weight,a_value\n")
+        for row in zip(solution.nodes, solution.weights, solution.a_values):
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     print(f"gamma0 = {bridge_mod.gamma0(solution)!r}")
     print(f"residual = {solution.final_residual:.3e} "
           f"after {solution.iterations} iterations")
@@ -208,8 +207,7 @@ def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
     """Full study: kernels, balancing, exact permanents, determinant limits."""
     if config.n_list is None:
         raise ConfigError("converge requires n_list in [study]")
-    if config.csv_path is None:
-        raise ConfigError("converge requires csv_path in [output]")
+    _require_csv_path(config, "converge")
     over = [n for n in config.n_list if n > config.permanent_cap]
     if over:
         raise ConfigError(
@@ -251,8 +249,7 @@ def run_balance_study(config: RunConfig) -> list[BalanceStudyRecord]:
     """Balancing diagnostics across n_list, without any permanents."""
     if config.n_list is None:
         raise ConfigError("balance-study requires n_list in [study]")
-    if config.csv_path is None:
-        raise ConfigError("balance-study requires csv_path in [output]")
+    _require_csv_path(config, "balance-study")
     source, _ = _build_source(config)
 
     records: list[BalanceStudyRecord] = []
@@ -425,6 +422,15 @@ def _resolve(config_path, value):
     if os.path.isabs(value):
         return value
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), value)
+
+
+def _require_csv_path(config: RunConfig, subcommand: str) -> None:
+    """Fail before any work when the output CSV has nowhere to go."""
+    if config.csv_path is None:
+        raise ConfigError(f"{subcommand} requires csv_path in [output]")
+    directory = os.path.dirname(os.path.abspath(config.csv_path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory} does not exist")
 
 
 def _write_csv(csv_path, header, records, aborted_at=None):

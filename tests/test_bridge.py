@@ -7,11 +7,36 @@ import pytest
 from permlim import (ConvergenceError, OverflowGuardError, PotentialSolution,
                      SmoothnessWarning, absolute_cost, bridge_source,
                      constant_source, cosine_source, evaluate_density,
-                     evaluate_potential, gamma0, marginal_residual,
-                     quadratic_cost, sample_kernel, solve_potential,
-                     tabulated_source)
+                     evaluate_potential, gamma0, gauss_legendre,
+                     marginal_residual, quadratic_cost, sample_kernel,
+                     solve_potential, tabulated_source)
 
 ZERO_COST = quadratic_cost(0.0)
+GAMMA0_QUADRATIC = 0.1529210810610881  # beta = 1 continuum value
+
+
+def test_gauss_legendre_integrates_polynomials_exactly():
+    for m in (8, 33):
+        nodes, weights = gauss_legendre(m)
+        assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] < nodes[-1] < 1.0
+        for k in range(2 * m):
+            assert math.fsum(weights * nodes**k) == pytest.approx(
+                1.0 / (k + 1), abs=1e-14)
+
+
+def test_gauss_legendre_weights_sum_to_one():
+    for m in (8, 9, 64, 400, 1024):
+        assert math.fsum(gauss_legendre(m)[1]) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_gauss_legendre_matches_numpy():
+    # leggauss's own weights are off by up to 1.1e-15 at m = 64 against a
+    # 30-digit mpmath rule (gauss_legendre's by 1.1e-16), hence 2e-15
+    for m in (8, 9, 16, 33, 64, 100):
+        nodes, weights = gauss_legendre(m)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+        np.testing.assert_allclose(nodes, 0.5 * (ref_x + 1.0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, 0.5 * ref_w, rtol=0, atol=2e-15)
 
 
 def test_zero_cost_trivial_solution():
@@ -26,7 +51,7 @@ def test_quadratic_converges(quad_solution, quad_cost):
     assert quad_solution.final_residual <= 1e-12
     assert marginal_residual(quad_solution, quad_cost) <= 1e-12
     assert gamma0(quad_solution) > 0
-    assert gamma0(quad_solution) == pytest.approx(0.152920208377, abs=1e-9)
+    assert gamma0(quad_solution) == pytest.approx(GAMMA0_QUADRATIC, abs=1e-13)
 
 
 def test_quadratic_potential_mirror_symmetric(quad_solution):
@@ -40,10 +65,14 @@ def test_gamma0_two_resolutions_agree(quad_cost, quad_solution):
     assert abs(g8 / g4 - 1.0) <= 1e-4
 
 
+def _hand_built(a_value, m=16):
+    nodes, weights = gauss_legendre(m)
+    return PotentialSolution(ZERO_COST, nodes, weights, np.full(m, a_value),
+                             (0.0,), 1, 1.0)
+
+
 def test_gamma0_constant_potential():
-    nodes = (np.arange(16) + 0.5) / 16
-    sol = PotentialSolution(ZERO_COST, nodes, np.full(16, 0.3), (0.0,), 1, 1.0)
-    assert gamma0(sol) == pytest.approx(-0.6, abs=1e-15)
+    assert gamma0(_hand_built(0.3)) == pytest.approx(-0.6, abs=1e-15)
 
 
 def test_gauge_rigidity(quad_solution, quad_cost):
@@ -73,6 +102,21 @@ def test_overflow_guard_on_strong_cost():
         solve_potential(quadratic_cost(2000.0), m=64)
 
 
+def test_overflow_guard_in_marginal_residual():
+    with pytest.raises(OverflowGuardError, match="exponent range"):
+        marginal_residual(_hand_built(-400.0))
+
+
+def test_overflow_guard_in_evaluate_density():
+    with pytest.raises(OverflowGuardError, match="exponent range"):
+        evaluate_density(_hand_built(-400.0), ZERO_COST, 0.2, 0.7)
+
+
+def test_overflow_guard_in_bridge_source():
+    with pytest.raises(OverflowGuardError, match="exponent range"):
+        sample_kernel(bridge_source(_hand_built(-400.0)), 4)
+
+
 def test_solver_argument_checks(quad_cost):
     with pytest.raises(ValueError):
         solve_potential(quad_cost, m=4)
@@ -95,6 +139,16 @@ def test_residual_trace_recorded(quad_solution):
 def test_evaluate_potential_reproduces_nodes(quad_solution):
     approx = evaluate_potential(quad_solution, quad_solution.nodes)
     assert np.abs(approx - quad_solution.a_values).max() <= 1e-11
+
+
+def test_evaluate_potential_keeps_shape(quad_solution):
+    x = np.array([[0.25, 1.0, 0.25], [0.0, 0.5, 1.0]])
+    values = evaluate_potential(quad_solution, x)
+    assert values.shape == x.shape
+    distinct = evaluate_potential(quad_solution, [0.0, 0.25, 0.5, 1.0])
+    np.testing.assert_array_equal(values, distinct[[[1, 3, 1], [0, 2, 3]]])
+    with pytest.raises(ValueError):
+        evaluate_potential(quad_solution, [0.5, -0.1])
 
 
 def test_evaluate_density_zero_cost_is_one():

@@ -175,14 +175,18 @@ csv_path = {csv}
 """))
     solution = run_solve_bridge(cfg)
     lines = csv.read_text().splitlines()
-    assert lines[0] == "node,a_value"
+    assert lines[0] == "node,weight,a_value"
     assert len(lines) == 65
-    nodes = [float(ln.split(",")[0]) for ln in lines[1:]]
-    values = [float(ln.split(",")[1]) for ln in lines[1:]]
+    nodes, weights, values = np.array(
+        [[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
     np.testing.assert_array_equal(nodes, solution.nodes)
+    np.testing.assert_array_equal(weights, solution.weights)
     np.testing.assert_array_equal(values, solution.a_values)
     out = capsys.readouterr().out
-    assert "gamma0" in out and "residual" in out
+    assert "residual" in out
+    printed = float(out.split("gamma0 = ")[1].split()[0])
+    assert -2.0 * math.fsum(weights * values) == pytest.approx(printed,
+                                                               abs=1e-15)
 
 
 def test_converge_constant_kernel(constant_converge_cfg, capsys):
@@ -435,7 +439,8 @@ csv_path = {tmp_path / "o.csv"}
     assert len(err) == 1 and "non-finite" in err[0]
 
 
-def test_cli_unwritable_csv_maps_to_config_code(tmp_path, capsys):
+def test_cli_unwritable_csv_maps_to_config_code(tmp_path, capsys,
+                                                monkeypatch):
     cfg = _write_config(tmp_path / "c.ini", f"""
 [kernel]
 kind = constant
@@ -447,6 +452,14 @@ nystrom_m = 32
 [output]
 csv_path = {tmp_path / "missing" / "o.csv"}
 """)
-    assert main(["converge", "--config", cfg]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("permlim: ")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran before its output was checked")
+
+    monkeypatch.setattr(lab_module.permanent_mod, "compute_Dn", never)
+    monkeypatch.setattr(lab_module.balance_mod, "balance_fixed_point", never)
+    for subcommand in ("converge", "balance-study"):
+        assert main([subcommand, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("permlim: ")
+        assert "does not exist" in err[0]

@@ -7,9 +7,40 @@ import pytest
 from permlim import (RefinementWarning, SpectralGapError, SpectralGapWarning,
                      balance_fixed_point, bn_matrix, bridge_source,
                      centered_nystrom, compute_Dn, cosine_source,
-                     eigen_symmetric, fredholm_limit, mccullagh_estimate,
-                     quadratic_cost, sample_kernel, solve_potential,
-                     tabulated_source)
+                     eigen_symmetric, fredholm_limit, gamma0,
+                     mccullagh_estimate, quadratic_cost, sample_kernel,
+                     solve_potential, tabulated_source)
+
+
+def _continuum_reference(beta, m=64):
+    """gamma0 and the Fredholm limit of the cost beta (x - y)^2 by an
+    independent Gauss-Legendre Nystrom iteration (numpy's leggauss rule)."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    C = beta * (x[:, None] - x[None, :]) ** 2
+    a = np.zeros(m)
+    for _ in range(2000):
+        t = np.log(np.exp(-C) @ (w * np.exp(-a)))
+        if float(np.abs(np.expm1(t - a)).max()) <= 2e-16:
+            break
+        a = 0.5 * (a + t)  # damping 1/2 removes the gauge oscillation a -> t
+    else:
+        raise RuntimeError(f"reference potential did not converge (beta={beta})")
+    sw = np.sqrt(w)
+    S = sw[:, None] * np.expm1(-C - a[:, None] - a[None, :]) * sw[None, :]
+    lam = np.linalg.eigvalsh(S)
+    return (-2.0 * math.fsum(w * a),
+            math.exp(-0.5 * math.fsum(np.log1p(-lam * lam))))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_gamma0_and_limit_match_continuum_reference(beta):
+    g_ref, limit_ref = _continuum_reference(beta)
+    sol = solve_potential(quadratic_cost(beta), m=64)
+    report = fredholm_limit(bridge_source(sol), 64)
+    assert gamma0(sol) == pytest.approx(g_ref, abs=1e-13)
+    assert report.fredholm_limit == pytest.approx(limit_ref, rel=1e-12)
+    assert report.converged and report.refinement_gap <= 1e-12
 
 
 def test_eigen_symmetric_basics():
