@@ -145,22 +145,20 @@ def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:
     Plugging arbitrary x into a(x) = log sum_j w_j exp(-c(x, y_j) - a_j)
     extends the converged node values smoothly; on the nodes it reproduces
     them up to the solver tolerance. x may have any shape, and the result
-    has the same shape. Distinct values are evaluated once: sampling an
-    n x n grid asks for only ~n distinct abscissas, and evaluating those
-    instead of all n^2 keeps the (points x m) cost matrix small.
+    has the same shape.
     """
     x = np.asarray(x, dtype=float)
-    uniq, inverse = np.unique(x.ravel(), return_inverse=True)
-    if uniq[0] < 0.0 or uniq[-1] > 1.0:
+    flat = x.ravel()
+    if flat.min() < 0.0 or flat.max() > 1.0:
         raise ValueError("potential arguments must lie in [0,1]")
     a = solution.a_values
     C = np.asarray(
-        solution.cost.evaluator(uniq[:, None], solution.nodes[None, :]),
+        solution.cost.evaluator(flat[:, None], solution.nodes[None, :]),
         dtype=float)
     _guard_range("potential", -float(C.max()) - float(a.max()),
                  -float(C.min()) - float(a.min()))
     a_x = np.log(np.exp(-C) @ (solution.weights * np.exp(-a)))
-    return a_x[inverse].reshape(x.shape)
+    return a_x.reshape(x.shape)
 
 
 def evaluate_density(solution: PotentialSolution, cost: CostFunction,
@@ -210,46 +208,48 @@ def marginal_residual(solution: PotentialSolution,
 class DensitySource:
     """A symmetric density on the unit square that grids are sampled from.
 
-    Kinds:
+    Called on ascending nodes t, it evaluates ``density(t)`` on the tensor
+    grid once and copies the upper triangle rho(min, max) into the lower,
+    so the returned matrix rho(t_i, t_j) is exactly symmetric. Kinds:
 
     * ``bridge``: rho from a converged :class:`PotentialSolution`.
     * ``synthetic-constant``: rho = 1.
     * ``synthetic-cosine``: rho = 1 + 2 eps cos(pi x) cos(pi y); its
       centering has the single nontrivial eigenvalue eps, so the limiting
       constant is (1 - eps^2)^(-1/2) in closed form.
-    * ``tabulated-kernel``: bilinear interpolation of a stored matrix.
+    * ``tabulated-kernel``: bilinear interpolation of a stored symmetric
+      matrix.
     """
 
     kind: str
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str = ""
-    solution: PotentialSolution | None = None
-    eps: float | None = None
+    density: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return self.density(np.minimum(x, y), np.maximum(x, y))
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        rho = np.asarray(self.density(t), dtype=float)
+        for i in range(1, t.size):  # row by row: no n x n temporary
+            rho[i, :i] = rho[:i, i]
+        return rho
 
 
 def bridge_source(solution: PotentialSolution) -> DensitySource:
     """rho(x, y) = exp(-c(x, y) - a(x) - a(y)) from a converged potential."""
 
-    def rho(x, y):
-        C = np.asarray(solution.cost.evaluator(x, y), dtype=float)
-        expo = (-C - evaluate_potential(solution, x)
-                - evaluate_potential(solution, y))
+    def rho(t):
+        C = np.asarray(solution.cost.evaluator(t[:, None], t[None, :]),
+                       dtype=float)
+        a = evaluate_potential(solution, t)
+        expo = -C - a[:, None] - a[None, :]
         _guard_range("density", float(expo.min()), float(expo.max()))
         return np.exp(expo)
 
-    return DensitySource("bridge", rho, f"bridge[{solution.cost.label}]",
-                         solution=solution)
+    return DensitySource("bridge", rho)
 
 
 def constant_source() -> DensitySource:
     """rho = 1, the product measure; every derived quantity is known exactly."""
-    return DensitySource("synthetic-constant", lambda x, y: np.ones(np.broadcast(x, y).shape),
-                         "constant")
+    return DensitySource("synthetic-constant",
+                         lambda t: np.ones((t.size, t.size)))
 
 
 def cosine_source(eps: float) -> DensitySource:
@@ -263,16 +263,23 @@ def cosine_source(eps: float) -> DensitySource:
     if not (0.0 <= eps < 1.0):
         raise ValueError("cosine source needs 0 <= eps < 1")
 
-    def rho(x, y):
-        return 1.0 + 2.0 * eps * np.cos(math.pi * x) * np.cos(math.pi * y)
+    def rho(t):
+        c = np.cos(math.pi * t)
+        return 1.0 + 2.0 * eps * c[:, None] * c[None, :]
 
-    return DensitySource("synthetic-cosine", rho, f"cosine(eps={eps:g})", eps=eps)
+    return DensitySource("synthetic-cosine", rho)
 
 
 def tabulated_source(values: np.ndarray) -> DensitySource:
-    """Bilinear interpolation of an n x n matrix sampled at nodes i/(n-1)."""
-    rho, n = bilinear_interpolant(values)
-    return DensitySource("tabulated-kernel", rho, f"tabulated({n}x{n})")
+    """Bilinear interpolation of a symmetric n x n matrix sampled at nodes
+    i/(n-1); a table asymmetric beyond 1e-12 raises ValueError."""
+    interpolate, _ = bilinear_interpolant(values)
+    table = np.asarray(values, dtype=float)
+    asym = float(np.abs(table - table.T).max())
+    if asym > 1e-12:
+        raise ValueError(f"tabulated kernel asymmetry {asym:.3e} exceeds 1e-12")
+    return DensitySource("tabulated-kernel",
+                         lambda t: interpolate(t[:, None], t[None, :]))
 
 
 def _guard_range(what: str, lo: float, hi: float) -> None:

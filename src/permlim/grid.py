@@ -1,11 +1,14 @@
 """Right-endpoint grid sampling of densities and Riemann-sum diagnostics.
 
 A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
-i, j = 1..n, the right endpoints of the uniform partition of [0,1]. Every
-later stage (balancing, permanents, spectra) consumes these matrices. The
-normalised kernel K/n has row sums close to 1; the row-defect vector
-measures how close, and the Riemann-sum helpers quantify why the defect
-decays at the rate it does.
+i, j = 1..n, the right endpoints of the uniform partition of [0,1]. The
+density source evaluates the node vector i/n and returns K exactly
+symmetric by construction; sampling checks it for finiteness and
+positivity and averages nothing. Every later stage (balancing,
+permanents, spectra) consumes these matrices. The normalised kernel K/n
+has row sums close to 1; the row-defect vector measures how close, and
+the Riemann-sum helpers quantify why the defect decays at the rate it
+does.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import DensitySource
-
-_SYM_TOL = 1e-12
 
 
 def norm_2n(v: np.ndarray) -> float:
@@ -37,7 +38,6 @@ class KernelMatrix:
 
     n: int
     entries: np.ndarray
-    source_label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
@@ -45,11 +45,6 @@ class KernelMatrix:
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match n={self.n}")
         self.entries.setflags(write=False)
-
-    @property
-    def normalized(self) -> np.ndarray:
-        """The matrix entries / n, whose row sums are near 1."""
-        return self.entries / self.n
 
 
 @dataclass(frozen=True)
@@ -71,31 +66,23 @@ def grid_nodes(n: int) -> np.ndarray:
 
 
 def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
-    """Sample rho at the right-endpoint grid, enforcing exact symmetry.
+    """Sample rho at the right-endpoint grid.
 
-    Floating-point asymmetry up to 1e-12 (from the evaluator, not the
-    density itself) is removed by averaging with the transpose; anything
-    larger indicates a genuinely asymmetric density and raises. Entries
-    must be strictly positive: balancing and the permanent limits are
-    stated for positive kernels.
+    The source returns an exactly symmetric matrix by construction, so no
+    averaging or symmetry check happens here. Entries must be finite and
+    strictly positive: balancing and the permanent limits are stated for
+    positive kernels.
     """
-    t = grid_nodes(n)
     with np.errstate(all="ignore"):  # non-finite values are rejected below
-        K = np.asarray(source(t[:, None], t[None, :]), dtype=float)
+        K = np.asarray(source(grid_nodes(n)), dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"density returned shape {K.shape}, expected {(n, n)}")
     if not np.isfinite(K).all():
         raise ValueError("density evaluates to non-finite values on the grid")
-    asym = float(np.abs(K - K.T).max())
-    if asym > _SYM_TOL:
-        raise ValueError(
-            f"sampled kernel asymmetry {asym:.3e} exceeds {_SYM_TOL:g}")
-    if asym > 0.0:
-        K = 0.5 * (K + K.T)
     if K.min() <= 0.0:
         raise ValueError(
             f"sampled kernel must be strictly positive; min entry {K.min():.3e}")
-    return KernelMatrix(n, K, source.label)
+    return KernelMatrix(n, K)
 
 
 def row_defect(K: KernelMatrix) -> DefectVector:

@@ -115,15 +115,15 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
     m-point Gauss-Legendre rule (z, w) of :func:`permlim.bridge.gauss_legendre`.
 
     Its eigenvalues approximate those of the centered integral operator
-    f -> integral (rho(x, y) - 1) f(y) dy on mean-zero functions. A density
-    source orders its arguments, so rho and hence the matrix are exactly
-    symmetric.
+    f -> integral (rho(x, y) - 1) f(y) dy on mean-zero functions. The
+    density source returns rho on the nodes z exactly symmetric, and so is
+    the matrix.
     """
     if m < MIN_RESOLUTION:
         raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
     z, w = gauss_legendre(m)
     s = np.sqrt(w)
-    rho = np.asarray(source(z[:, None], z[None, :]), dtype=float)
+    rho = np.asarray(source(z), dtype=float)
     return (rho - 1.0) * np.outer(s, s)
 
 

@@ -18,7 +18,7 @@ def quad_solution(quad_cost):
 @pytest.fixture(scope="session")
 def quad_solution_fine(quad_cost):
     """High-resolution potential; keeps quadrature error out of rate studies."""
-    return solve_potential(quad_cost, m=3200, tol=1e-12)
+    return solve_potential(quad_cost, m=256, tol=1e-12)
 
 
 @pytest.fixture(scope="session")

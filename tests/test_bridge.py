@@ -145,8 +145,8 @@ def test_evaluate_potential_keeps_shape(quad_solution):
     x = np.array([[0.25, 1.0, 0.25], [0.0, 0.5, 1.0]])
     values = evaluate_potential(quad_solution, x)
     assert values.shape == x.shape
-    distinct = evaluate_potential(quad_solution, [0.0, 0.25, 0.5, 1.0])
-    np.testing.assert_array_equal(values, distinct[[[1, 3, 1], [0, 2, 3]]])
+    flat = evaluate_potential(quad_solution, x.ravel())
+    np.testing.assert_array_equal(values, flat.reshape(x.shape))
     with pytest.raises(ValueError):
         evaluate_potential(quad_solution, [0.5, -0.1])
 
@@ -177,13 +177,14 @@ def test_bridge_source_zero_cost_all_ones():
 def test_constant_source_trivial():
     src = constant_source()
     assert src.kind == "synthetic-constant"
-    assert float(src(0.3, 0.9)) == 1.0
+    assert src(np.array([0.3, 0.9]))[0, 1] == 1.0
 
 
 def test_cosine_source_values_and_range():
     src = cosine_source(0.5)
-    assert float(src(0.0, 0.0)) == pytest.approx(2.0, abs=1e-15)
-    assert float(src(0.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
+    K = src(np.array([0.0, 1.0]))
+    assert K[0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert K[0, 1] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         cosine_source(-0.1)
     with pytest.raises(ValueError):
@@ -193,10 +194,20 @@ def test_cosine_source_values_and_range():
 def test_tabulated_source_interpolates():
     table = np.array([[1.0, 2.0], [2.0, 3.0]])
     src = tabulated_source(table)
-    assert float(src(0.0, 1.0)) == 2.0
-    assert float(src(0.5, 0.5)) == pytest.approx(2.0, abs=1e-15)
+    K = src(np.array([0.0, 0.5, 1.0]))
+    assert K[0, 2] == 2.0
+    assert K[1, 1] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ValueError):
         tabulated_source(np.ones((2, 3)))
+
+
+def test_tabulated_source_rejects_asymmetric_table():
+    table = np.ones((5, 5))
+    table[0, 4], table[4, 0] = 1.6, 0.4
+    with pytest.raises(ValueError, match="asymmetry"):
+        tabulated_source(table)
+    table[0, 4], table[4, 0] = 1.0 + 1e-13, 1.0  # within 1e-12: accepted
+    assert tabulated_source(table).kind == "tabulated-kernel"
 
 
 def test_marginal_residual_defaults_to_stored_cost(quad_solution):

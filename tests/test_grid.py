@@ -3,21 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from permlim import (cosine_source, grid_nodes, load_matrix, norm_2n,
-                     norm_inf, riemann_correction_check, riemann_sum,
-                     row_defect, sample_kernel, save_matrix)
-
-
-class _RawSource:
-    """Bare evaluator stand-in; bypasses the symmetrizing DensitySource."""
-
-    label = "raw"
-
-    def __init__(self, f):
-        self._f = f
-
-    def __call__(self, x, y):
-        return self._f(np.asarray(x, float), np.asarray(y, float))
+from permlim import (bridge_source, centered_nystrom, constant_source,
+                     cosine_source, evaluate_potential, gauss_legendre,
+                     grid_nodes, load_matrix, norm_2n, norm_inf,
+                     riemann_correction_check, riemann_sum, row_defect,
+                     sample_kernel, save_matrix, tabulated_source)
+from permlim.cost import bilinear_interpolant
 
 
 def test_grid_nodes_right_endpoints():
@@ -42,16 +33,44 @@ def test_sample_output_exactly_symmetric(quad_source):
     assert np.array_equal(K.entries, K.entries.T)
 
 
-def test_sample_small_asymmetry_averaged():
-    src = _RawSource(lambda x, y: 1.0 + 1e-13 * (x - y))
-    K = sample_kernel(src, 8)
-    assert np.array_equal(K.entries, K.entries.T)
+TABLE = np.array([[1.0, 1.3, 0.9], [1.3, 1.1, 1.2], [0.9, 1.2, 0.8]])
 
 
-def test_sample_large_asymmetry_rejected():
-    src = _RawSource(lambda x, y: 1.0 + (x - y))
-    with pytest.raises(ValueError, match="asymmetry"):
-        sample_kernel(src, 8)
+def _rho_min_max(kind, t, solution):
+    """rho(t_min(i,j), t_max(i,j)) from the elementwise formula of each kind."""
+    i = np.arange(t.size)
+    lo, hi = np.minimum(i[:, None], i), np.maximum(i[:, None], i)
+    x, y = t[lo], t[hi]
+    if kind == "bridge":
+        a = evaluate_potential(solution, t)
+        return np.exp(-solution.cost.evaluator(x, y) - a[lo] - a[hi])
+    if kind == "cosine":
+        return 1.0 + 2.0 * 0.3 * np.cos(math.pi * x) * np.cos(math.pi * y)
+    if kind == "tabulated":
+        return bilinear_interpolant(TABLE)[0](x, y)
+    return np.ones_like(x)
+
+
+@pytest.mark.parametrize("kind", ["bridge", "cosine", "tabulated", "constant"])
+def test_sampled_matrices_are_rho_of_min_max_bit_for_bit(kind,
+                                                         quad_solution_fine):
+    # Both triangles hold rho(min, max) exactly, on the grid nodes and on the
+    # Gauss-Legendre nodes of the Nystrom matrix. Unmirrored, the lower
+    # triangle would differ in rounding for every kind but the constant (for
+    # the cosine only with 2 eps != 1, hence 0.3). perfbench's balance
+    # reference relies on this construction.
+    source = {"bridge": bridge_source(quad_solution_fine),
+              "cosine": cosine_source(0.3),
+              "tabulated": tabulated_source(TABLE),
+              "constant": constant_source()}[kind]
+    t = grid_nodes(37)
+    assert np.array_equal(sample_kernel(source, 37).entries,
+                          _rho_min_max(kind, t, quad_solution_fine))
+    z, w = gauss_legendre(64)
+    s = np.sqrt(w)
+    assert np.array_equal(
+        centered_nystrom(source, 64),
+        (_rho_min_max(kind, z, quad_solution_fine) - 1.0) * np.outer(s, s))
 
 
 def test_sample_nonpositive_rejected():

@@ -9,7 +9,8 @@ import pytest
 import permlim.lab as lab_module
 from permlim import (BalanceError, ConfigError, RunConfig, SpectralGapWarning,
                      fit_rate, load_config, load_matrix, run_balance_study,
-                     run_converge, run_solve_bridge, run_validate_cost)
+                     run_converge, run_solve_bridge, run_validate_cost,
+                     save_matrix)
 from permlim.cli import main
 
 
@@ -437,6 +438,28 @@ csv_path = {tmp_path / "o.csv"}
     assert [w.category for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "non-finite" in err[0]
+
+
+def test_cli_asymmetric_kernel_table_maps_to_config_code(tmp_path, capsys):
+    table = np.ones((5, 5))
+    table[0, 4], table[4, 0] = 1.6, 0.4
+    save_matrix(tmp_path / "k.txt", table)
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[kernel]
+kind = tabulated
+path = k.txt
+
+[study]
+n_list = 2 4
+nystrom_m = 32
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+""")
+    assert main(["converge", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert "asymmetry" in err[0]
 
 
 def test_cli_unwritable_csv_maps_to_config_code(tmp_path, capsys,
