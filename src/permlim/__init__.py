@@ -15,9 +15,9 @@ finite-n determinant estimate along the way (:mod:`permlim.spectral`).
 from .balance import (BalanceDiagnostics, BalanceResult, balance_diagnostics,
                       balance_fixed_point, balance_symmetric_scaling)
 from .bridge import (DensitySource, PotentialSolution, bridge_source,
-                     constant_source, cosine_source, evaluate_density,
-                     evaluate_potential, gamma0, gauss_legendre,
-                     marginal_residual, solve_potential, tabulated_source)
+                     constant_source, cosine_source, evaluate_potential,
+                     gamma0, gauss_legendre, marginal_residual,
+                     solve_potential, tabulated_source)
 from .cost import (CostFunction, ValidationReport, absolute_cost,
                    evaluate_cost, expression_cost, quadratic_cost,
                    tabulated_cost, validate_cost)

@@ -161,24 +161,6 @@ def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:
     return a_x.reshape(x.shape)
 
 
-def evaluate_density(solution: PotentialSolution, cost: CostFunction,
-                     x: float, y: float) -> float:
-    """rho(x, y) = exp(-c(x, y) - a(x) - a(y)) at a single point.
-
-    Arguments are ordered (min, max) before evaluation, so swapping x and y
-    returns the bit-identical value even when the cost evaluator itself is
-    only symmetric up to rounding.
-    """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"density arguments ({x}, {y}) outside [0,1]^2")
-    lo, hi = min(x, y), max(x, y)
-    c = float(np.asarray(cost.evaluator(np.float64(lo), np.float64(hi))))
-    a = evaluate_potential(solution, np.array([lo, hi]))
-    expo = -c - float(a[0]) - float(a[1])
-    _guard_range("density", expo, expo)
-    return math.exp(expo)
-
-
 def gamma0(solution: PotentialSolution) -> float:
     """Gauss-Legendre value of -2 integral_0^1 a(x) dx."""
     return -2.0 * math.fsum(solution.weights * solution.a_values)

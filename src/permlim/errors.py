@@ -46,7 +46,11 @@ class BalanceError(ConvergenceError):
 
 
 class SingularSystemError(PermlimError):
-    """The dense linear system of the balancing fixed point is singular."""
+    """I + R of the balancing fixed point is singular or indefinite.
+
+    Raised when a conjugate-gradient direction p on I + R has
+    p'(I + R)p <= 1e-14 p'p, in the up-front check or in a solve.
+    """
 
     exit_code = 4
 

@@ -84,8 +84,12 @@ class ConvergenceRecord:
     """One row of the convergence CSV; field order matches the header.
 
     L_n_scaled is L_n * exp(n Gamma0) and applies to bridge sources only;
-    synthetic kernels have no cost, so the field is nan there. Wall-clock
-    fields are informational and not reproducible between runs.
+    synthetic kernels have no cost, so the field is nan there. It equals
+    D_n * exp(2 sum_i a(i/n) + n Gamma0), and by Euler-Maclaurin that
+    exponent tends to a(1) - a(0), so L_n_scaled / D_n -> exp(a(1) - a(0)):
+    the two columns share a limit only when a(1) = a(0), as for a cost
+    symmetric under (x, y) -> (1 - x, 1 - y). Wall-clock fields are
+    informational and not reproducible between runs.
     """
 
     n: int

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import permlim
 from permlim import (BalanceError, BalanceResult, SingularSystemError,
                      balance_diagnostics, balance_fixed_point,
                      balance_symmetric_scaling, norm_2n, sample_kernel)
@@ -110,6 +117,52 @@ def test_singular_system_detected():
     K = np.array([[0.0, 2.0], [2.0, 0.0]])  # I + K/2 has eigenvalue 0
     with pytest.raises(SingularSystemError):
         balance_fixed_point(K)
+
+
+@pytest.mark.parametrize("K", [
+    np.array([[2.0, 4.0], [4.0, 2.0]]),
+    np.kron([[1.0, 3.0], [3.0, 1.0]], np.ones((2, 2))),
+    np.kron([[1.0, 3.0], [3.0, 1.0]], np.ones((50, 50))),
+], ids=["2x2", "kron-m2", "kron-m50"])
+def test_singular_system_on_positive_kernels(K):
+    # I + K/n has eigenvalue 0 although every entry of K is positive
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        balance_fixed_point(K)
+
+
+def test_positive_definite_block_kernel_balances():
+    # lambda_min(I + K/n) = 1/3: small, but the fixed point is well posed
+    K = np.kron([[1.0, 3.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 2.0]],
+                np.ones((30, 30)))
+    res = balance_fixed_point(K)
+    assert np.abs(res.balanced.sum(axis=1) / len(K) - 1.0).max() <= 1e-11
+
+
+# eps <= 0.25 keeps norm_2n(h) below 0.22 for every sign pattern tried;
+# at eps = 0.5 a dominant row already leaves the ball of radius 0.5 at n = 40
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))),
+    st.floats(0.0, 0.25))
+def test_fixed_point_properties_near_constant(A, eps):
+    n = A.shape[0]
+    K = 1.0 + eps * (np.triu(A) + np.triu(A, 1).T)
+    res = balance_fixed_point(K, tol=1e-12)
+    ref = balance_symmetric_scaling(K, tol=1e-12)
+    assert np.abs(res.u - ref.u).max() <= 1e-8
+    assert np.abs(res.balanced.sum(axis=1) / n - 1.0).max() <= 1e-11
+    assert np.array_equal(res.balanced, res.balanced.T)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(permlim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, permlim; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_zero_row_rejected():

@@ -6,10 +6,10 @@ import pytest
 
 from permlim import (ConvergenceError, OverflowGuardError, PotentialSolution,
                      SmoothnessWarning, absolute_cost, bridge_source,
-                     constant_source, cosine_source, evaluate_density,
-                     evaluate_potential, gamma0, gauss_legendre,
-                     marginal_residual, quadratic_cost, sample_kernel,
-                     solve_potential, tabulated_source)
+                     constant_source, cosine_source, evaluate_potential,
+                     expression_cost, gamma0, gauss_legendre,
+                     grid_nodes, marginal_residual, quadratic_cost,
+                     sample_kernel, solve_potential, tabulated_source)
 
 ZERO_COST = quadratic_cost(0.0)
 GAMMA0_QUADRATIC = 0.1529210810610881  # beta = 1 continuum value
@@ -57,6 +57,22 @@ def test_quadratic_converges(quad_solution, quad_cost):
 def test_quadratic_potential_mirror_symmetric(quad_solution):
     a = quad_solution.a_values
     assert np.abs(a - a[::-1]).max() <= 1e-9
+
+
+def test_scaled_raw_exponent_tends_to_endpoint_difference():
+    # L_n_scaled / D_n = exp(2 sum_i a(i/n) + n gamma0), and by Euler-Maclaurin
+    # for the right-endpoint sum the exponent tends to a(1) - a(0), not 0.
+    # With s = x - 1/2, t = y - 1/2 this cost is 1.5 s^2 - s t + 1.5 t^2
+    # + s + t + 1/2; the linear part moves into the potential, which is then
+    # a reflection-symmetric function minus s, so a(1) - a(0) = -1.
+    sol = solve_potential(expression_cost("(x - y)**2 + 0.5 * (x + y)**2"),
+                          m=128)
+    a0, a1 = evaluate_potential(sol, [0.0, 1.0])
+    assert a1 - a0 == pytest.approx(-1.0, abs=1e-9)
+    for n in (100, 1000):  # measured error 0.486 / n
+        exponent = 2.0 * math.fsum(evaluate_potential(sol, grid_nodes(n)))
+        exponent += n * gamma0(sol)
+        assert abs(exponent - (a1 - a0)) <= 1.0 / n
 
 
 def test_gamma0_two_resolutions_agree(quad_cost, quad_solution):
@@ -107,11 +123,6 @@ def test_overflow_guard_in_marginal_residual():
         marginal_residual(_hand_built(-400.0))
 
 
-def test_overflow_guard_in_evaluate_density():
-    with pytest.raises(OverflowGuardError, match="exponent range"):
-        evaluate_density(_hand_built(-400.0), ZERO_COST, 0.2, 0.7)
-
-
 def test_overflow_guard_in_bridge_source():
     with pytest.raises(OverflowGuardError, match="exponent range"):
         sample_kernel(bridge_source(_hand_built(-400.0)), 4)
@@ -149,23 +160,6 @@ def test_evaluate_potential_keeps_shape(quad_solution):
     np.testing.assert_array_equal(values, flat.reshape(x.shape))
     with pytest.raises(ValueError):
         evaluate_potential(quad_solution, [0.5, -0.1])
-
-
-def test_evaluate_density_zero_cost_is_one():
-    sol = solve_potential(ZERO_COST, m=64)
-    for x, y in [(0.0, 0.0), (0.3, 0.77), (1.0, 0.5)]:
-        assert evaluate_density(sol, ZERO_COST, x, y) == pytest.approx(1.0,
-                                                                       abs=1e-14)
-
-
-def test_evaluate_density_swap_exact(quad_solution, quad_cost):
-    assert (evaluate_density(quad_solution, quad_cost, 0.2, 0.9)
-            == evaluate_density(quad_solution, quad_cost, 0.9, 0.2))
-
-
-def test_evaluate_density_domain_error(quad_solution, quad_cost):
-    with pytest.raises(ValueError):
-        evaluate_density(quad_solution, quad_cost, 1.5, 0.2)
 
 
 def test_bridge_source_zero_cost_all_ones():
