@@ -205,7 +205,7 @@ def _solve(R, b, max_steps):
 
 
 def _check_positive(tol, max_iter):
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

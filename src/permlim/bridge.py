@@ -94,9 +94,8 @@ def solve_potential(
     Iterates a <- (1 - theta) a + theta log(sum_j w_j exp(-c(x_i, y_j) - a_j))
     with the Gauss-Legendre weights w_j, starting from a = 0. The residual
     is the doubly stochastic defect max_i |exp(t_i - a_i) - 1| where t is
-    the undamped update target. When a step increases the residual in the
-    contraction regime (residual < 1) the damping factor is halved, down to
-    1/16.
+    the undamped update target. When a step increases the residual the
+    damping factor is halved, down to 1/16.
     """
     if m < 8:
         raise ValueError("m must be >= 8")
@@ -129,7 +128,7 @@ def solve_potential(
         if residual <= tol:
             return PotentialSolution(cost, nodes, weights, a, tuple(trace), it,
                                      theta)
-        if residual > prev_residual and residual < 1.0 and theta > 1.0 / 16.0:
+        if residual > prev_residual and theta > 1.0 / 16.0:
             theta = max(theta / 2.0, 1.0 / 16.0)
         a = (1.0 - theta) * a + theta * t
         prev_residual = residual

@@ -1,8 +1,8 @@
 """Command-line entry point: `permlim <subcommand> --config <path>`.
 
 Subcommands: validate-cost, solve-bridge, converge, balance-study.
-Exit codes: 0 success, 1 config error or unreadable/unwritable file,
-2 validation failure, 3 bridge failure, 4 balance failure, 5 spectral
+Exit codes: 0 success, 1 config error, unreadable/unwritable file or
+out of memory, 2 validation failure, 3 bridge failure, 4 balance failure, 5 spectral
 hypothesis failure.
 """
 
@@ -55,6 +55,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         # e.g. an output path in a missing directory
         print(f"permlim: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. an n_list entry whose n x n kernel does not fit in memory
+        detail = f": {exc}" if str(exc) else ""
+        print(f"permlim: out of memory{detail}", file=sys.stderr)
         return 1
 
 

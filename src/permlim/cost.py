@@ -110,12 +110,14 @@ def tabulated_cost(values: np.ndarray) -> CostFunction:
 def bilinear_interpolant(values) -> tuple[Callable, int]:
     """Bilinear interpolant on [0,1]^2 of an m x m table at nodes i/(m-1).
 
-    The table is validated (square, m >= 2) and frozen as a private copy;
-    returns the evaluator f(x, y), clamped to the unit square, and m.
+    The table is validated (square, m >= 2, finite) and frozen as a private
+    copy; returns the evaluator f(x, y), clamped to the unit square, and m.
     """
     table = np.array(values, dtype=float)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 2:
         raise ValueError("a tabulated function needs a square table with m >= 2")
+    if not np.isfinite(table).all():
+        raise ValueError("a tabulated function needs finite values")
     table.setflags(write=False)
     m = table.shape[0]
 
@@ -162,7 +164,7 @@ def validate_cost(cost: CostFunction, grid_size: int, tol: float) -> ValidationR
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     t = np.arange(grid_size + 1) / grid_size
     X, Y = t[:, None], t[None, :]

@@ -22,7 +22,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,25 +34,7 @@ from . import permanent as permanent_mod
 from . import spectral as spectral_mod
 from .errors import ConfigError
 
-CSV_HEADER = ("n,D_n,D_n_hat,L_n_scaled,mccullagh,fredholm_limit,err_Dn,"
-              "err_ratio_mcc,h_norm_2n,h_norm_inf,sum_log,m_n,"
-              "wall_ms_permanent,wall_ms_balance")
-
-BALANCE_CSV_HEADER = ("n,h_norm_2n,h_norm_inf,sum_log,m_n,n_h_norm_2n,"
-                      "sqrt_n_h_norm_inf,n_abs_sum_log,n2_abs_m_n,iterations,"
-                      "residual,wall_ms_balance")
-
 _EXACT_FLOOR = 1e-11  # below this the rate fit would measure rounding noise
-
-_SECTIONS = {
-    "cost": {"family", "beta", "path", "expression", "smoothness",
-             "validate_grid", "validate_tol"},
-    "kernel": {"kind", "eps", "path"},
-    "bridge": {"m", "tol", "max_iter", "damping"},
-    "study": {"n_list", "permanent_cap", "balance_tol", "balance_max_iter",
-              "nystrom_m", "eig_cutoff", "refinement_tol", "workers"},
-    "output": {"csv_path", "eigen_dump"},
-}
 
 
 @dataclass(frozen=True)
@@ -72,7 +54,6 @@ class RunConfig:
     balance_tol: float = 1e-12
     balance_max_iter: int = 200
     nystrom_m: int = 128
-    eig_cutoff: float = spectral_mod.DEFAULT_EIG_CUTOFF
     refinement_tol: float = spectral_mod.DEFAULT_REFINEMENT_TOL
     workers: int = 1
     csv_path: str | None = None
@@ -81,7 +62,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One row of the convergence CSV; field order matches the header.
+    """One row of the convergence CSV; the fields are its columns, in order.
 
     L_n_scaled is L_n * exp(n Gamma0) and applies to bridge sources only;
     synthetic kernels have no cost, so the field is nan there. It equals
@@ -110,7 +91,7 @@ class ConvergenceRecord:
 
 @dataclass(frozen=True)
 class BalanceStudyRecord:
-    """One row of the balance-study CSV; field order matches its header."""
+    """One row of the balance-study CSV; the fields are its columns, in order."""
 
     n: int
     h_norm_2n: float
@@ -126,6 +107,48 @@ class BalanceStudyRecord:
     wall_ms_balance: float
 
 
+def _parse_n_list(text) -> tuple[int, ...]:
+    try:
+        ns = tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"bad n_list: {text!r}") from exc
+    if not ns or any(n < 1 for n in ns):
+        raise ConfigError("n_list must contain positive integers")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("n_list must be strictly increasing")
+    return ns
+
+
+def _parse_bool(text) -> bool:
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if state is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return state
+
+
+# Every INI key: section -> key -> (RunConfig field, parser); RunConfig holds
+# the defaults. Keys mapped to None are read by _build_cost or _build_kernel.
+_SCHEMA = {
+    "cost": dict.fromkeys(("family", "beta", "path", "expression",
+                           "smoothness")) | {
+        "validate_grid": ("validate_grid", int),
+        "validate_tol": ("validate_tol", float)},
+    "kernel": dict.fromkeys(("kind", "eps", "path")),
+    "bridge": {"m": ("bridge_m", int), "tol": ("bridge_tol", float),
+               "max_iter": ("bridge_max_iter", int),
+               "damping": ("bridge_damping", float)},
+    "study": {"n_list": ("n_list", _parse_n_list),
+              "permanent_cap": ("permanent_cap", int),
+              "balance_tol": ("balance_tol", float),
+              "balance_max_iter": ("balance_max_iter", int),
+              "nystrom_m": ("nystrom_m", int),
+              "refinement_tol": ("refinement_tol", float),
+              "workers": ("workers", int)},
+    "output": {"csv_path": ("csv_path", str),
+               "eigen_dump": ("eigen_dump", _parse_bool)},
+}
+
+
 def load_config(path) -> RunConfig:
     """Parse an INI study config, rejecting unknown sections and keys."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -133,9 +156,9 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _SECTIONS[section]
+        unknown = set(parser[section]) - set(_SCHEMA[section])
         if unknown:
             raise ConfigError(
                 f"unknown keys {sorted(unknown)} in section [{section}]")
@@ -143,35 +166,13 @@ def load_config(path) -> RunConfig:
     kwargs = {}
     if parser.has_section("cost"):
         kwargs["cost"] = _build_cost(parser["cost"], path)
-        kwargs["validate_grid"] = _get(parser["cost"], "validate_grid", int, 100)
-        kwargs["validate_tol"] = _get(parser["cost"], "validate_tol", float, 1e-9)
     if parser.has_section("kernel"):
         kwargs["kernel_source"] = _build_kernel(parser["kernel"], path)
-    if parser.has_section("bridge"):
-        sec = parser["bridge"]
-        kwargs["bridge_m"] = _get(sec, "m", int, 400)
-        kwargs["bridge_tol"] = _get(sec, "tol", float, 1e-12)
-        kwargs["bridge_max_iter"] = _get(sec, "max_iter", int, 500)
-        kwargs["bridge_damping"] = _get(sec, "damping", float, 1.0)
-    if parser.has_section("study"):
-        sec = parser["study"]
-        if "n_list" in sec:
-            kwargs["n_list"] = _parse_n_list(sec["n_list"])
-        kwargs["permanent_cap"] = _get(sec, "permanent_cap", int,
-                                       permanent_mod.DEFAULT_CAP)
-        kwargs["balance_tol"] = _get(sec, "balance_tol", float, 1e-12)
-        kwargs["balance_max_iter"] = _get(sec, "balance_max_iter", int, 200)
-        kwargs["nystrom_m"] = _get(sec, "nystrom_m", int, 128)
-        kwargs["eig_cutoff"] = _get(sec, "eig_cutoff", float,
-                                    spectral_mod.DEFAULT_EIG_CUTOFF)
-        kwargs["refinement_tol"] = _get(sec, "refinement_tol", float,
-                                        spectral_mod.DEFAULT_REFINEMENT_TOL)
-        kwargs["workers"] = _get(sec, "workers", int, 1)
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "csv_path" in sec:
-            kwargs["csv_path"] = sec["csv_path"].strip()
-        kwargs["eigen_dump"] = sec.getboolean("eigen_dump", fallback=False)
+    for section, keys in _SCHEMA.items():
+        for key, entry in keys.items():
+            if entry is not None and parser.has_option(section, key):
+                field, parse = entry
+                kwargs[field] = _parse(parser[section], key, parse)
     return RunConfig(**kwargs)
 
 
@@ -209,32 +210,18 @@ def run_solve_bridge(config: RunConfig) -> bridge_mod.PotentialSolution:
 
 def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
     """Full study: kernels, balancing, exact permanents, determinant limits."""
-    if config.n_list is None:
-        raise ConfigError("converge requires n_list in [study]")
-    _require_csv_path(config, "converge")
-    over = [n for n in config.n_list if n > config.permanent_cap]
+    over = [n for n in config.n_list or () if n > config.permanent_cap]
     if over:
         raise ConfigError(
             f"n_list entries {over} exceed permanent_cap={config.permanent_cap}")
-    source, solution = _build_source(config)
-
+    source, solution = _build_source(config, "converge")
     fredholm = spectral_mod.fredholm_limit(
-        source, config.nystrom_m, eig_cutoff=config.eig_cutoff,
-        refinement_tol=config.refinement_tol)
+        source, config.nystrom_m, refinement_tol=config.refinement_tol)
     if config.eigen_dump:
         _dump_eigenvalues(config.csv_path, fredholm.eigenvalues)
     g0 = bridge_mod.gamma0(solution) if solution is not None else math.nan
-
-    records: list[ConvergenceRecord] = []
-    for n in config.n_list:
-        try:
-            records.append(_converge_one(config, source, solution, g0,
-                                         fredholm.fredholm_limit, n))
-        except Exception:
-            _write_csv(config.csv_path, CSV_HEADER, records,
-                       aborted_at=n)
-            raise
-    _write_csv(config.csv_path, CSV_HEADER, records)
+    records = _study_rows(config, ConvergenceRecord, lambda n: _converge_row(
+        config, source, solution, g0, fredholm.fredholm_limit, n))
 
     for r in records:
         print(f"n={r.n:4d}  D_n={r.D_n:.12g}  D_n_hat={r.D_n_hat:.12g}  "
@@ -251,33 +238,9 @@ def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
 
 def run_balance_study(config: RunConfig) -> list[BalanceStudyRecord]:
     """Balancing diagnostics across n_list, without any permanents."""
-    if config.n_list is None:
-        raise ConfigError("balance-study requires n_list in [study]")
-    _require_csv_path(config, "balance-study")
-    source, _ = _build_source(config)
-
-    records: list[BalanceStudyRecord] = []
-    for n in config.n_list:
-        try:
-            K = grid_mod.sample_kernel(source, n)
-            t0 = time.perf_counter()
-            res = balance_mod.balance_fixed_point(
-                K, tol=config.balance_tol, max_iter=config.balance_max_iter)
-            wall_ms = 1e3 * (time.perf_counter() - t0)
-            d = balance_mod.balance_diagnostics(res)
-        except Exception:
-            _write_csv(config.csv_path, BALANCE_CSV_HEADER, records, aborted_at=n)
-            raise
-        records.append(BalanceStudyRecord(
-            n=n, h_norm_2n=d.norm_2n_h, h_norm_inf=d.norm_inf_h,
-            sum_log=d.sum_log, m_n=d.m_n,
-            n_h_norm_2n=n * d.norm_2n_h,
-            sqrt_n_h_norm_inf=math.sqrt(n) * d.norm_inf_h,
-            n_abs_sum_log=n * abs(d.sum_log),
-            n2_abs_m_n=n * n * abs(d.m_n),
-            iterations=res.iterations, residual=res.residual,
-            wall_ms_balance=wall_ms))
-    _write_csv(config.csv_path, BALANCE_CSV_HEADER, records)
+    source, _ = _build_source(config, "balance-study")
+    records = _study_rows(config, BalanceStudyRecord,
+                          lambda n: _balance_row(config, source, n))
 
     for r in records:
         print(f"n={r.n:5d}  n*|h|_2n={r.n_h_norm_2n:.6g}  "
@@ -313,14 +276,35 @@ def fit_rate(n_list, errors):
     return float(-slope), tuple(n for n, _ in use)
 
 
-def _converge_one(config, source, solution, g0, fredholm_value, n):
+def _study_rows(config: RunConfig, record_type, make_row) -> list:
+    """make_row(n) for each n of n_list, written to the CSV as they stand.
+
+    If a row raises, the rows before it and a `# aborted at n=<n>` line
+    are written before the error propagates.
+    """
+    records = []
+    try:
+        for n in config.n_list:
+            records.append(make_row(n))
+    finally:
+        aborted_at = (config.n_list[len(records)]
+                      if len(records) < len(config.n_list) else None)
+        _write_csv(config.csv_path, record_type, records, aborted_at)
+    return records
+
+
+def _balanced_kernel(config: RunConfig, source, n):
+    """Sample the n x n kernel, balance it (timed) and diagnose the result."""
     K = grid_mod.sample_kernel(source, n)
     t0 = time.perf_counter()
     res = balance_mod.balance_fixed_point(
         K, tol=config.balance_tol, max_iter=config.balance_max_iter)
-    wall_balance = 1e3 * (time.perf_counter() - t0)
-    d = balance_mod.balance_diagnostics(res)
+    wall_ms = 1e3 * (time.perf_counter() - t0)
+    return K, res, balance_mod.balance_diagnostics(res), wall_ms
 
+
+def _converge_row(config, source, solution, g0, fredholm_value, n):
+    K, res, d, wall_balance = _balanced_kernel(config, source, n)
     t0 = time.perf_counter()
     Dn = permanent_mod.compute_Dn(K, cap=config.permanent_cap,
                                   workers=config.workers).value
@@ -345,8 +329,25 @@ def _converge_one(config, source, solution, g0, fredholm_value, n):
         m_n=d.m_n, wall_ms_permanent=wall_perm, wall_ms_balance=wall_balance)
 
 
-def _build_source(config: RunConfig):
-    """The configured density source plus the potential solution if any."""
+def _balance_row(config, source, n):
+    _, res, d, wall_ms = _balanced_kernel(config, source, n)
+    return BalanceStudyRecord(
+        n=n, h_norm_2n=d.norm_2n_h, h_norm_inf=d.norm_inf_h,
+        sum_log=d.sum_log, m_n=d.m_n,
+        n_h_norm_2n=n * d.norm_2n_h,
+        sqrt_n_h_norm_inf=math.sqrt(n) * d.norm_inf_h,
+        n_abs_sum_log=n * abs(d.sum_log),
+        n2_abs_m_n=n * n * abs(d.m_n),
+        iterations=res.iterations, residual=res.residual,
+        wall_ms_balance=wall_ms)
+
+
+def _build_source(config: RunConfig, subcommand: str):
+    """Check n_list and csv_path, then build the configured density source;
+    returns it with the potential solution if any."""
+    if config.n_list is None:
+        raise ConfigError(f"{subcommand} requires n_list in [study]")
+    _require_csv_path(config, subcommand)
     if config.cost is not None and config.kernel_source is not None:
         raise ConfigError("config has both [cost] and [kernel]; pick one source")
     if config.kernel_source is not None:
@@ -362,10 +363,11 @@ def _build_source(config: RunConfig):
 def _build_cost(sec, path) -> cost_mod.CostFunction:
     family = sec.get("family", "").strip()
     try:
-        if family == "quadratic":
-            return cost_mod.quadratic_cost(_get(sec, "beta", float, 1.0))
-        if family == "absolute":
-            return cost_mod.absolute_cost(_get(sec, "beta", float, 1.0))
+        if family in ("quadratic", "absolute"):
+            beta = _parse(sec, "beta", float) if "beta" in sec else 1.0
+            if family == "quadratic":
+                return cost_mod.quadratic_cost(beta)
+            return cost_mod.absolute_cost(beta)
         if family == "tabulated":
             if "path" not in sec:
                 raise ConfigError("tabulated cost requires a path key")
@@ -400,25 +402,11 @@ def _build_kernel(sec, path) -> bridge_mod.DensitySource:
     raise ConfigError(f"unknown kernel kind {kind!r} in [kernel] section")
 
 
-def _get(sec, key, conv, default):
-    if key not in sec:
-        return default
+def _parse(sec, key, conv):
     try:
         return conv(sec[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from exc
-
-
-def _parse_n_list(text) -> tuple[int, ...]:
-    try:
-        ns = tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"bad n_list: {text!r}") from exc
-    if not ns or any(n < 1 for n in ns):
-        raise ConfigError("n_list must contain positive integers")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("n_list must be strictly increasing")
-    return ns
 
 
 def _resolve(config_path, value):
@@ -437,12 +425,12 @@ def _require_csv_path(config: RunConfig, subcommand: str) -> None:
         raise ConfigError(f"output directory {directory} does not exist")
 
 
-def _write_csv(csv_path, header, records, aborted_at=None):
+def _write_csv(csv_path, record_type, records, aborted_at) -> None:
+    names = [field.name for field in fields(record_type)]
     with open(csv_path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(names) + "\n")
         for r in records:
-            fh.write(",".join(_fmt(getattr(r, name))
-                              for name in header.split(",")) + "\n")
+            fh.write(",".join(_fmt(getattr(r, name)) for name in names) + "\n")
         if aborted_at is not None:
             fh.write(f"# aborted at n={aborted_at}\n")
 

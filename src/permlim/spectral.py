@@ -30,7 +30,6 @@ _ANNIHILATION_TOL = 1e-10
 _GAP_MARGIN = 1e-8
 _GAP_WARN = 0.99
 
-DEFAULT_EIG_CUTOFF = 1e-12
 DEFAULT_REFINEMENT_TOL = 1e-5
 MIN_RESOLUTION = 32
 
@@ -40,8 +39,8 @@ class SpectrumReport:
     """Eigenvalues at one resolution and the determinants built from them.
 
     The reported ``fredholm_limit`` is exactly det_I_minus_B2 ** -0.5 with the
-    product taken over the eigenvalues above the cutoff, so it can be
-    reconstructed from the report alone.
+    product taken over all eigenvalues, so it can be reconstructed from the
+    report alone.
     """
 
     n_or_m: int
@@ -130,30 +129,27 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
 def fredholm_limit(
     source: DensitySource,
     m: int,
-    eig_cutoff: float = DEFAULT_EIG_CUTOFF,
     refinement_tol: float = DEFAULT_REFINEMENT_TOL,
 ) -> SpectrumReport:
     """Estimate prod (1 - lambda_k^2)^(-1/2) over the centered spectrum.
 
-    Eigenvalues with |lambda| <= eig_cutoff are treated as discretisation
-    zeros and excluded from the product. A SpectralGapWarning is emitted
-    when the largest |lambda| at resolution m reaches 0.99, where the
-    product is close to divergent. The estimate is recomputed at
-    resolution 2m; if the two values disagree by more than refinement_tol
-    relative, a RefinementWarning is emitted and the report is marked not
-    converged, but the resolution-m value is still returned.
+    The product runs over all m eigenvalues of the centered Nystrom
+    matrix. A SpectralGapWarning is emitted when the largest |lambda| at
+    resolution m reaches 0.99, where the product is close to divergent.
+    The estimate is recomputed at resolution 2m; if the two values
+    disagree by more than refinement_tol relative, a RefinementWarning is
+    emitted and the report is marked not converged, but the resolution-m
+    value is still returned.
     """
-    if eig_cutoff < 0:
-        raise ValueError("eig_cutoff must be nonnegative")
     eigs = np.linalg.eigvalsh(centered_nystrom(source, m))
-    value, lam_star, det = _product_value(eigs, eig_cutoff)
+    value, lam_star, det = _product_value(eigs)
     if lam_star >= _GAP_WARN:
         warnings.warn(
             f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
             f">= {_GAP_WARN}; the limiting product is close to divergent",
             SpectralGapWarning, stacklevel=2)
     eigs2 = np.linalg.eigvalsh(centered_nystrom(source, 2 * m))
-    value2, _, _ = _product_value(eigs2, eig_cutoff)
+    value2, _, _ = _product_value(eigs2)
     gap = abs(value2 / value - 1.0) if value != 0.0 else math.inf
     converged = gap <= refinement_tol
     if not converged:
@@ -166,13 +162,11 @@ def fredholm_limit(
         fredholm_limit=value, converged=converged, refinement_gap=gap)
 
 
-def _product_value(eigs: np.ndarray, eig_cutoff: float):
-    lam = eigs[np.abs(eigs) > eig_cutoff]
-    if lam.size and float(np.abs(lam).max()) >= 1.0:
+def _product_value(eigs: np.ndarray):
+    lam_star = float(np.abs(eigs).max())
+    if lam_star >= 1.0:
         raise SpectralGapError(
             f"centered operator has an eigenvalue of modulus "
-            f"{np.abs(lam).max():.6f} >= 1; the limit product diverges")
-    det = float(np.prod(1.0 - lam * lam)) if lam.size else 1.0
-    value = det ** -0.5
-    lam_star = float(np.abs(eigs).max(initial=0.0))
-    return value, lam_star, det
+            f"{lam_star:.6f} >= 1; the limit product diverges")
+    det = float(np.prod(1.0 - eigs * eigs))
+    return det ** -0.5, lam_star, det

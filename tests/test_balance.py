@@ -187,7 +187,10 @@ def test_nonconvergence_reports_iterations(cosine_half):
 
 def test_argument_checks(cosine_half):
     K = sample_kernel(cosine_half, 4)
-    with pytest.raises(ValueError):
-        balance_fixed_point(K, tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            balance_fixed_point(K, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            balance_symmetric_scaling(K, tol=tol)
     with pytest.raises(ValueError):
         balance_symmetric_scaling(K, max_iter=0)

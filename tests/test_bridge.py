@@ -135,6 +135,16 @@ def test_solver_argument_checks(quad_cost):
         solve_potential(quad_cost, m=64, damping=0.0)
 
 
+@pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning")
+@pytest.mark.parametrize("cost", [quadratic_cost(8.0), quadratic_cost(16.0),
+                                  absolute_cost(4.0)],
+                         ids=lambda c: c.label)
+def test_large_beta_converges(cost):
+    # the damping must halve whenever the residual rises, also above 1
+    solution = solve_potential(cost, m=64)
+    assert marginal_residual(solution) <= 1e-11
+
+
 def test_c0_cost_warns():
     with pytest.warns(SmoothnessWarning):
         solve_potential(absolute_cost(1.0), m=32)

@@ -133,5 +133,6 @@ def test_validate_nonfinite_fails():
 def test_validate_argument_checks(quad_cost):
     with pytest.raises(ValueError):
         validate_cost(quad_cost, 1, 1e-9)
-    with pytest.raises(ValueError):
-        validate_cost(quad_cost, 10, 0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            validate_cost(quad_cost, 10, tol)

@@ -13,6 +13,13 @@ from permlim import (BalanceError, ConfigError, RunConfig, SpectralGapWarning,
                      save_matrix)
 from permlim.cli import main
 
+CONVERGE_HEADER = ("n,D_n,D_n_hat,L_n_scaled,mccullagh,fredholm_limit,err_Dn,"
+                   "err_ratio_mcc,h_norm_2n,h_norm_inf,sum_log,m_n,"
+                   "wall_ms_permanent,wall_ms_balance")
+BALANCE_HEADER = ("n,h_norm_2n,h_norm_inf,sum_log,m_n,n_h_norm_2n,"
+                  "sqrt_n_h_norm_inf,n_abs_sum_log,n2_abs_m_n,iterations,"
+                  "residual,wall_ms_balance")
+
 
 def _write_config(path, text):
     path.write_text(text)
@@ -51,27 +58,48 @@ beta = 2.5
 
 def test_load_config_full_roundtrip(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.ini", f"""
+[cost]
+family = absolute
+beta = 0.5
+validate_grid = 30
+validate_tol = 1e-7
+
 [kernel]
 kind = cosine
 eps = 0.25
+
+[bridge]
+m = 48
+tol = 1e-11
+max_iter = 77
+damping = 0.5
 
 [study]
 n_list = 2, 4, 6
 permanent_cap = 20
 balance_tol = 1e-10
+balance_max_iter = 33
 nystrom_m = 96
+refinement_tol = 1e-6
 workers = 3
 
 [output]
 csv_path = {tmp_path / "out.csv"}
 eigen_dump = yes
 """))
+    assert cfg.cost.params == (0.5,)
+    assert (cfg.validate_grid, cfg.validate_tol) == (30, 1e-7)
     assert cfg.kernel_source.kind == "synthetic-cosine"
+    assert (cfg.bridge_m, cfg.bridge_tol, cfg.bridge_max_iter,
+            cfg.bridge_damping) == (48, 1e-11, 77, 0.5)
     assert cfg.n_list == (2, 4, 6)
     assert cfg.permanent_cap == 20
     assert cfg.balance_tol == 1e-10
+    assert cfg.balance_max_iter == 33
     assert cfg.nystrom_m == 96
+    assert cfg.refinement_tol == 1e-6
     assert cfg.workers == 3
+    assert cfg.csv_path == str(tmp_path / "out.csv")
     assert cfg.eigen_dump is True
 
 
@@ -94,6 +122,10 @@ path = table.txt
     ("[kernel]\nkind = constant\n\n[study]\nmethod = cofactor\n",
      "unknown keys"),
     ("[kernel]\nkind = constant\n\n[study]\nworkers = many\n", "bad value"),
+    ("[kernel]\nkind = constant\n\n[study]\neig_cutoff = 0\n", "unknown keys"),
+    ("[kernel]\nkind = constant\n\n[output]\neigen_dump = maybe\n",
+     "bad value for 'eigen_dump'"),
+    ("[cost]\nfamily = quadratic\nbeta = steep\n", "bad value for 'beta'"),
     ("[cost]\nfamily = sinister\n", "unknown cost family"),
     ("[cost]\nfamily = tabulated\n", "path"),
     ("[kernel]\nkind = cubic\n", "unknown kernel kind"),
@@ -202,7 +234,7 @@ def test_converge_constant_kernel(constant_converge_cfg, capsys):
     out = capsys.readouterr().out
     assert "rate: exact" in out
     csv_lines = Path(cfg.csv_path).read_text().splitlines()
-    assert csv_lines[0] == lab_module.CSV_HEADER
+    assert csv_lines[0] == CONVERGE_HEADER
     assert len(csv_lines) == 4
 
 
@@ -295,7 +327,7 @@ csv_path = {csv}
     with pytest.raises(BalanceError):
         run_converge(load_config(cfg_path))
     lines = csv.read_text().splitlines()
-    assert lines[0] == lab_module.CSV_HEADER
+    assert lines[0] == CONVERGE_HEADER
     assert len(lines) == 4  # header + n=2 + n=4 + abort marker
     assert lines[-1] == "# aborted at n=8"
     assert main(["converge", "--config", cfg_path]) == 4
@@ -320,7 +352,7 @@ csv_path = {csv}
         assert r.n2_abs_m_n == 0.0
         assert r.iterations == 1
     lines = csv.read_text().splitlines()
-    assert lines[0] == lab_module.BALANCE_CSV_HEADER
+    assert lines[0] == BALANCE_HEADER
     assert "max/min ratio" in capsys.readouterr().out
 
 
@@ -486,3 +518,69 @@ csv_path = {tmp_path / "missing" / "o.csv"}
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("permlim: ")
         assert "does not exist" in err[0]
+
+
+@pytest.mark.parametrize("section", ["[cost]\nfamily", "[kernel]\nkind"],
+                         ids=["cost", "kernel"])
+def test_cli_nonfinite_table_maps_to_config_code(tmp_path, capsys, section):
+    table = np.ones((3, 3))
+    table[1, 1] = math.nan
+    save_matrix(tmp_path / "t.txt", table)
+    cfg = _write_config(tmp_path / "c.ini", f"""
+{section} = tabulated
+path = t.txt
+
+[study]
+n_list = 2 4
+nystrom_m = 32
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+""")
+    assert main(["converge", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert "finite" in err[0]
+
+
+def test_cli_nan_validate_tol_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.ini", """
+[cost]
+family = custom-expression
+expression = (x - 2*y)**2 - 0.5
+validate_tol = nan
+""")
+    assert main(["validate-cost", "--config", cfg]) != 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert "tol must be positive" in err[0]
+
+
+def test_cli_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
+    csv = tmp_path / "bal.csv"
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[kernel]
+kind = constant
+
+[study]
+n_list = 2 10000000
+
+[output]
+csv_path = {csv}
+""")
+    real = lab_module.grid_mod.sample_kernel
+
+    def sample(source, n):
+        if n > 2:
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+        return real(source, n)
+
+    monkeypatch.setattr(lab_module.grid_mod, "sample_kernel", sample)
+    assert main(["balance-study", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["permlim: out of memory: Unable to allocate 728. TiB "
+                   "for an array"]
+    lines = csv.read_text().splitlines()
+    assert lines[0] == BALANCE_HEADER
+    assert lines[1].startswith("2,")
+    assert lines[2:] == ["# aborted at n=10000000"]

@@ -161,9 +161,10 @@ def test_fredholm_cosine_matches_rank_one_value(cosine_half):
 
 
 def test_fredholm_report_reconstructible(cosine_half):
-    report = fredholm_limit(cosine_half, 64, eig_cutoff=1e-12)
+    report = fredholm_limit(cosine_half, 64)
     assert report.fredholm_limit == report.det_I_minus_B2 ** -0.5
-    lam = report.eigenvalues[np.abs(report.eigenvalues) > 1e-12]
+    lam = report.eigenvalues
+    assert lam.size == 64
     recomputed = float(np.prod(1.0 - lam * lam))
     assert report.det_I_minus_B2 == pytest.approx(recomputed, rel=1e-10)
     assert report.lambda_star == np.abs(report.eigenvalues).max()
@@ -188,8 +189,6 @@ def test_fredholm_refinement_warning():
 def test_fredholm_argument_checks(const_source):
     with pytest.raises(ValueError):
         fredholm_limit(const_source, 16)
-    with pytest.raises(ValueError):
-        fredholm_limit(const_source, 64, eig_cutoff=-1.0)
 
 
 def test_spectral_gap_values(const_source, cosine_half):
