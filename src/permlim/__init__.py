@@ -19,8 +19,8 @@ from .bridge import (DensitySource, PotentialSolution, bridge_source,
                      gamma0, gauss_legendre, marginal_residual,
                      solve_potential, tabulated_source)
 from .cost import (CostFunction, ValidationReport, absolute_cost,
-                   evaluate_cost, expression_cost, quadratic_cost,
-                   tabulated_cost, validate_cost)
+                   expression_cost, quadratic_cost, tabulated_cost,
+                   validate_cost)
 from .errors import (BalanceError, CapExceededError, ConfigError,
                      ConvergenceError, OverflowGuardError, PermlimError,
                      PermlimWarning, RefinementWarning, RuntimeBudgetWarning,
@@ -34,7 +34,7 @@ from .lab import (BalanceStudyRecord, ConvergenceRecord, RunConfig, fit_rate,
                   run_solve_bridge, run_validate_cost)
 from .permanent import (PermanentValue, compute_Dn, permanent_brute,
                         permanent_exact)
-from .spectral import (SpectrumReport, bn_matrix, centered_nystrom,
-                       eigen_symmetric, fredholm_limit, mccullagh_estimate)
+from .spectral import (SpectrumReport, centered_nystrom, fredholm_limit,
+                       mccullagh_estimate)
 
 __version__ = "0.1.0"

@@ -33,9 +33,6 @@ _SYM_TOL = 1e-12
 _CG_RTOL = 1e-15  # conjugate gradients stop at this relative residual
 _CHECK_STEPS = 12  # cap of the singularity check; measured kernels stop in 2-7
 
-METHOD_FIXED_POINT = "fixed-point"
-METHOD_SYMMETRIC_SCALING = "symmetric-scaling"
-
 
 @dataclass(frozen=True)
 class BalanceResult:
@@ -51,7 +48,6 @@ class BalanceResult:
     h: np.ndarray
     u: np.ndarray
     balanced: np.ndarray
-    method: str
     iterations: int
     residual: float
 
@@ -104,7 +100,7 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
         F = h + Rh + q + h * q + h * Rh
         residual = norm_2n(F)
         if residual <= tol and norm_inf(F) <= 10.0 * tol:
-            return _result(entries, n, h, 1.0 + h, METHOD_FIXED_POINT, it, residual)
+            return _result(entries, n, h, 1.0 + h, it, residual)
         h = h - _solve(R, F, n)
         if norm_2n(h) > _BALL_RADIUS:
             raise BalanceError(
@@ -137,8 +133,7 @@ def balance_symmetric_scaling(K, tol: float = 1e-12,
         u = np.sqrt(u / Ru)
         residual = norm_inf(u * (R @ u) - 1.0)
         if residual <= tol:
-            return _result(entries, n, u - 1.0, u,
-                           METHOD_SYMMETRIC_SCALING, it, residual)
+            return _result(entries, n, u - 1.0, u, it, residual)
     raise BalanceError(
         f"symmetric scaling did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {residual:.3e})", residual=residual, iterations=max_iter)
@@ -211,6 +206,6 @@ def _check_positive(tol, max_iter):
         raise ValueError("max_iter must be >= 1")
 
 
-def _result(entries, n, h, u, method, iterations, residual):
+def _result(entries, n, h, u, iterations, residual):
     balanced = entries * np.outer(u, u)
-    return BalanceResult(n, h, u, balanced, method, iterations, residual)
+    return BalanceResult(n, h, u, balanced, iterations, residual)

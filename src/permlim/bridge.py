@@ -75,7 +75,6 @@ class PotentialSolution:
     a_values: np.ndarray
     residual_trace: tuple[float, ...]
     iterations: int
-    damping_used: float
 
     @property
     def final_residual(self) -> float:
@@ -101,6 +100,10 @@ def solve_potential(
         raise ValueError("m must be >= 8")
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
+    if not tol > 0:  # also rejects nan
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if cost.smoothness_claim != "C2":
         warnings.warn(
             f"cost {cost.label or cost.family} is declared {cost.smoothness_claim}; "
@@ -126,8 +129,7 @@ def solve_potential(
         residual = float(np.abs(np.exp(t - a) - 1.0).max())
         trace.append(residual)
         if residual <= tol:
-            return PotentialSolution(cost, nodes, weights, a, tuple(trace), it,
-                                     theta)
+            return PotentialSolution(cost, nodes, weights, a, tuple(trace), it)
         if residual > prev_residual and theta > 1.0 / 16.0:
             theta = max(theta / 2.0, 1.0 / 16.0)
         a = (1.0 - theta) * a + theta * t

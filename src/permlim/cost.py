@@ -148,13 +148,6 @@ def expression_cost(expr: str, smoothness_claim: str = "C2") -> CostFunction:
                         f"expr({expr})")
 
 
-def evaluate_cost(cost: CostFunction, x: float, y: float) -> float:
-    """Evaluate c(x, y) at a single point of the unit square."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"cost arguments ({x}, {y}) outside [0,1]^2")
-    return float(cost.evaluator(np.float64(x), np.float64(y)))
-
-
 def validate_cost(cost: CostFunction, grid_size: int, tol: float) -> ValidationReport:
     """Check the cost on the grid {i/grid_size : i = 0..grid_size}.
 

@@ -126,24 +126,38 @@ def _parse_bool(text) -> bool:
     return state
 
 
+def _parse_tol(text) -> float:
+    tol = float(text)
+    if not tol > 0:  # also rejects nan
+        raise ValueError("tol must be positive")
+    return tol
+
+
+def _parse_count(text) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError("must be an integer >= 1")
+    return count
+
+
 # Every INI key: section -> key -> (RunConfig field, parser); RunConfig holds
 # the defaults. Keys mapped to None are read by _build_cost or _build_kernel.
 _SCHEMA = {
     "cost": dict.fromkeys(("family", "beta", "path", "expression",
                            "smoothness")) | {
         "validate_grid": ("validate_grid", int),
-        "validate_tol": ("validate_tol", float)},
+        "validate_tol": ("validate_tol", _parse_tol)},
     "kernel": dict.fromkeys(("kind", "eps", "path")),
-    "bridge": {"m": ("bridge_m", int), "tol": ("bridge_tol", float),
-               "max_iter": ("bridge_max_iter", int),
+    "bridge": {"m": ("bridge_m", int), "tol": ("bridge_tol", _parse_tol),
+               "max_iter": ("bridge_max_iter", _parse_count),
                "damping": ("bridge_damping", float)},
     "study": {"n_list": ("n_list", _parse_n_list),
               "permanent_cap": ("permanent_cap", int),
-              "balance_tol": ("balance_tol", float),
-              "balance_max_iter": ("balance_max_iter", int),
+              "balance_tol": ("balance_tol", _parse_tol),
+              "balance_max_iter": ("balance_max_iter", _parse_count),
               "nystrom_m": ("nystrom_m", int),
-              "refinement_tol": ("refinement_tol", float),
-              "workers": ("workers", int)},
+              "refinement_tol": ("refinement_tol", _parse_tol),
+              "workers": ("workers", _parse_count)},
     "output": {"csv_path": ("csv_path", str),
                "eigen_dump": ("eigen_dump", _parse_bool)},
 }
@@ -406,7 +420,8 @@ def _parse(sec, key, conv):
     try:
         return conv(sec[key])
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from exc
+        raise ConfigError(
+            f"bad value for {key!r}: {sec[key]!r} ({exc})") from exc
 
 
 def _resolve(config_path, value):

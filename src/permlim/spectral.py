@@ -1,5 +1,5 @@
-"""Eigenvalue quantities: the centered matrix B, the determinant estimate
-for normalised permanents, the spectral gap, and the Fredholm limit.
+"""Eigenvalue quantities: the determinant estimate for normalised
+permanents, the spectral gap, and the Fredholm limit.
 
 For a doubly stochastic A (= balanced kernel / n) write J for the matrix
 with all entries 1/n and B = A - J. Multiplying by J averages rows or
@@ -11,24 +11,28 @@ is played by the Fredholm determinant of the centered integral operator,
 estimated here by Gauss-Legendre Nystrom discretisation (Bornemann, Math.
 Comp. 2010), which converges exponentially in the resolution for an
 analytic density and algebraically for a merely continuous one.
+
+Both are one functional of a symmetric centered matrix: B = (K_bal - 1)/n
+is the centered operator on the right-endpoint rule, the Nystrom matrix
+the same operator on Gauss-Legendre. One routine evaluates it for both.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceResult
 from .bridge import DensitySource, gauss_legendre
 from .errors import RefinementWarning, SpectralGapError, SpectralGapWarning
 
 _ASYM_TOL = 1e-10
-_ANNIHILATION_TOL = 1e-10
 _GAP_MARGIN = 1e-8
 _GAP_WARN = 0.99
+_LOG_MAX = math.log(sys.float_info.max)  # about 709.78
 
 DEFAULT_REFINEMENT_TOL = 1e-5
 MIN_RESOLUTION = 32
@@ -36,49 +40,20 @@ MIN_RESOLUTION = 32
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues at one resolution and the determinants built from them.
+    """Eigenvalues of the centered Nystrom matrix at resolution m and the
+    limit built from them.
 
-    The reported ``fredholm_limit`` is exactly det_I_minus_B2 ** -0.5 with the
-    product taken over all eigenvalues, so it can be reconstructed from the
-    report alone.
+    ``fredholm_limit`` is exp(-1/2 sum log(1 - lambda^2)) over all of
+    ``eigenvalues``, so it can be reconstructed from the report alone;
+    ``lambda_star`` is their largest modulus and ``refinement_gap`` the
+    relative change of the limit from m to 2m.
     """
 
-    n_or_m: int
     eigenvalues: np.ndarray
     lambda_star: float
-    det_I_minus_B2: float
     fredholm_limit: float
     converged: bool
     refinement_gap: float
-
-
-def eigen_symmetric(M) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("eigen_symmetric expects a square matrix")
-    if float(np.abs(M - M.T).max()) > _ASYM_TOL:
-        raise ValueError(
-            f"matrix asymmetry {np.abs(M - M.T).max():.3e} exceeds {_ASYM_TOL:g}")
-    return np.linalg.eigvalsh(0.5 * (M + M.T))
-
-
-def bn_matrix(res: BalanceResult) -> np.ndarray:
-    """B = balanced/n - J, checked to annihilate the averaging matrix J.
-
-    max |B J| is the largest absolute row mean of B and max |J B| the
-    largest column mean; both vanish exactly when the input is doubly
-    stochastic, so values above 1e-10 signal an unbalanced input.
-    """
-    n = res.n
-    B = res.balanced / n - 1.0 / n
-    row_means = float(np.abs(B.mean(axis=1)).max())
-    col_means = float(np.abs(B.mean(axis=0)).max())
-    if max(row_means, col_means) > _ANNIHILATION_TOL:
-        raise ValueError(
-            f"B does not annihilate J (max row mean {row_means:.3e}, max column "
-            f"mean {col_means:.3e}); the input is not balanced to tolerance")
-    return B
 
 
 def mccullagh_estimate(A) -> float:
@@ -86,27 +61,25 @@ def mccullagh_estimate(A) -> float:
     doubly stochastic A.
 
     B J = J B = 0 gives I + J - A^2 = I - B^2, so this is the finite-n
-    estimate det(I + J - A^T A)^(-1/2); one symmetric eigen-solve of B
-    yields both the value and the gap check. Every eigenvalue of B must
-    stay away from modulus 1 (margin 1e-8); at modulus 1 the determinant
-    degenerates and the estimate is meaningless. Asymmetric input raises
-    the ValueError of :func:`eigen_symmetric`.
+    estimate det(I + J - A^T A)^(-1/2). It is evaluated by the same
+    eigen-solve, gap check and log-sum as :func:`fredholm_limit`: every
+    eigenvalue of B must stay below modulus 1 - 1e-8, and the value must
+    fit in a double, else SpectralGapError. Input that is not square,
+    not doubly stochastic or not symmetric (both to 1e-10) raises
+    ValueError.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("mccullagh_estimate expects a square matrix")
     dev = max(float(np.abs(A.sum(axis=1) - 1.0).max()),
               float(np.abs(A.sum(axis=0) - 1.0).max()))
     if dev > _ASYM_TOL:
         raise ValueError(
             f"matrix is not doubly stochastic (row/column sum deviation {dev:.3e})")
-    lam = eigen_symmetric(A - 1.0 / n)
-    lam_star = float(np.abs(lam).max(initial=0.0))
-    if lam_star >= 1.0 - _GAP_MARGIN:
-        raise SpectralGapError(
-            f"a nontrivial eigenvalue of A has modulus {lam_star:.6f} >= "
-            f"{1.0 - _GAP_MARGIN}; the determinant estimate degenerates "
-            "without a spectral gap")
-    return math.exp(-0.5 * math.fsum(np.log1p(-lam * lam)))
+    asym = float(np.abs(A - A.T).max())
+    if asym > _ASYM_TOL:
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {_ASYM_TOL:g}")
+    return _centered_determinant(A - 1.0 / A.shape[0])[0]
 
 
 def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
@@ -134,39 +107,50 @@ def fredholm_limit(
     """Estimate prod (1 - lambda_k^2)^(-1/2) over the centered spectrum.
 
     The product runs over all m eigenvalues of the centered Nystrom
-    matrix. A SpectralGapWarning is emitted when the largest |lambda| at
-    resolution m reaches 0.99, where the product is close to divergent.
-    The estimate is recomputed at resolution 2m; if the two values
-    disagree by more than refinement_tol relative, a RefinementWarning is
-    emitted and the report is marked not converged, but the resolution-m
-    value is still returned.
+    matrix, as a sum of logarithms, with the gap check of
+    :func:`mccullagh_estimate`. A SpectralGapWarning is emitted when the
+    largest |lambda| at resolution m reaches 0.99, where the product is
+    close to divergent. The estimate is recomputed at resolution 2m; if
+    the two values disagree by more than refinement_tol relative, a
+    RefinementWarning is emitted and the report is marked not converged,
+    but the resolution-m value is still returned.
     """
-    eigs = np.linalg.eigvalsh(centered_nystrom(source, m))
-    value, lam_star, det = _product_value(eigs)
+    value, eigs, lam_star = _centered_determinant(centered_nystrom(source, m))
     if lam_star >= _GAP_WARN:
         warnings.warn(
             f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
             f">= {_GAP_WARN}; the limiting product is close to divergent",
             SpectralGapWarning, stacklevel=2)
-    eigs2 = np.linalg.eigvalsh(centered_nystrom(source, 2 * m))
-    value2, _, _ = _product_value(eigs2)
-    gap = abs(value2 / value - 1.0) if value != 0.0 else math.inf
+    value2 = _centered_determinant(centered_nystrom(source, 2 * m))[0]
+    gap = abs(value2 / value - 1.0)
     converged = gap <= refinement_tol
     if not converged:
         warnings.warn(
             f"Fredholm estimate moved by {gap:.3e} relative between m={m} and "
             f"m={2 * m}; reporting the m={m} value as non-converged",
             RefinementWarning, stacklevel=2)
-    return SpectrumReport(
-        n_or_m=m, eigenvalues=eigs, lambda_star=lam_star, det_I_minus_B2=det,
-        fredholm_limit=value, converged=converged, refinement_gap=gap)
+    return SpectrumReport(eigenvalues=eigs, lambda_star=lam_star,
+                          fredholm_limit=value, converged=converged,
+                          refinement_gap=gap)
 
 
-def _product_value(eigs: np.ndarray):
-    lam_star = float(np.abs(eigs).max())
-    if lam_star >= 1.0:
+def _centered_determinant(S):
+    """(det(I - S^2)^(-1/2), eigenvalues, max |eigenvalue|) of a symmetric S.
+
+    Summing log1p(-lambda^2) cannot underflow the way a product of the
+    factors can. Raises SpectralGapError when an eigenvalue reaches modulus
+    1 - 1e-8 or when the value exceeds the largest double.
+    """
+    lam = np.linalg.eigvalsh(S)
+    lam_star = float(np.abs(lam).max(initial=0.0))
+    if lam_star >= 1.0 - _GAP_MARGIN:
         raise SpectralGapError(
-            f"centered operator has an eigenvalue of modulus "
-            f"{lam_star:.6f} >= 1; the limit product diverges")
-    det = float(np.prod(1.0 - eigs * eigs))
-    return det ** -0.5, lam_star, det
+            f"a centered eigenvalue has modulus {lam_star:.6f} >= "
+            f"{1.0 - _GAP_MARGIN}; the determinant degenerates without a "
+            "spectral gap")
+    exponent = -0.5 * math.fsum(np.log1p(-lam * lam))
+    if exponent > _LOG_MAX:
+        raise SpectralGapError(
+            f"det(I - B^2)^(-1/2) = exp({exponent:.1f}) exceeds the double "
+            f"range (exponent > {_LOG_MAX:.2f}); lambda* = {lam_star:.6f}")
+    return math.exp(exponent), lam, lam_star

@@ -84,7 +84,7 @@ def test_gamma0_two_resolutions_agree(quad_cost, quad_solution):
 def _hand_built(a_value, m=16):
     nodes, weights = gauss_legendre(m)
     return PotentialSolution(ZERO_COST, nodes, weights, np.full(m, a_value),
-                             (0.0,), 1, 1.0)
+                             (0.0,), 1)
 
 
 def test_gamma0_constant_potential():
@@ -133,6 +133,11 @@ def test_solver_argument_checks(quad_cost):
         solve_potential(quad_cost, m=4)
     with pytest.raises(ValueError):
         solve_potential(quad_cost, m=64, damping=0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_potential(quad_cost, m=16, tol=tol)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_potential(quad_cost, m=16, max_iter=0)
 
 
 @pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning")

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from permlim import (absolute_cost, evaluate_cost, expression_cost,
-                     load_matrix, quadratic_cost, tabulated_cost,
-                     validate_cost)
+from permlim import (absolute_cost, expression_cost, load_matrix,
+                     quadratic_cost, tabulated_cost, validate_cost)
 
 
 def test_quadratic_values():
     c = quadratic_cost(2.0)
-    assert evaluate_cost(c, 0.25, 0.75) == pytest.approx(2.0 * 0.25, abs=1e-15)
-    assert evaluate_cost(c, 0.4, 0.4) == 0.0
+    assert float(c(0.25, 0.75)) == pytest.approx(2.0 * 0.25, abs=1e-15)
+    assert float(c(0.4, 0.4)) == 0.0
     assert c.smoothness_claim == "C2"
 
 
 def test_absolute_values_and_claim():
     c = absolute_cost(3.0)
-    assert evaluate_cost(c, 0.1, 0.6) == pytest.approx(1.5, abs=1e-15)
+    assert float(c(0.1, 0.6)) == pytest.approx(1.5, abs=1e-15)
     assert c.smoothness_claim == "C0"
 
 
@@ -27,14 +26,6 @@ def test_bad_beta_rejected(beta):
         quadratic_cost(beta)
 
 
-def test_evaluate_cost_domain():
-    c = quadratic_cost(1.0)
-    with pytest.raises(ValueError):
-        evaluate_cost(c, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        evaluate_cost(c, 0.5, 1.2)
-
-
 def test_tabulated_exact_at_knots_and_bilinear_between():
     vals = np.array([[0.0, 1.0, 2.0],
                      [1.0, 3.0, 4.0],
@@ -42,9 +33,9 @@ def test_tabulated_exact_at_knots_and_bilinear_between():
     c = tabulated_cost(vals)
     for i in range(3):
         for j in range(3):
-            assert evaluate_cost(c, i / 2, j / 2) == vals[i, j]
+            assert float(c(i / 2, j / 2)) == vals[i, j]
     # midpoint of the four upper-left knots averages them
-    assert evaluate_cost(c, 0.25, 0.25) == pytest.approx(1.25, abs=1e-15)
+    assert float(c(0.25, 0.25)) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_tabulated_requires_square():
@@ -58,8 +49,8 @@ def test_load_tabulated_roundtrip(tmp_path):
     p = tmp_path / "cost.txt"
     p.write_text("2\n0.0 0.5\n0.5 0.0\n")
     c = tabulated_cost(load_matrix(p))
-    assert evaluate_cost(c, 0.0, 1.0) == 0.5
-    assert evaluate_cost(c, 1.0, 1.0) == 0.0
+    assert float(c(0.0, 1.0)) == 0.5
+    assert float(c(1.0, 1.0)) == 0.0
 
 
 def test_expression_matches_quadratic():
@@ -72,7 +63,7 @@ def test_expression_matches_quadratic():
 
 def test_expression_functions_and_constants():
     c = expression_cost("abs(sin(pi * (x - y)))")
-    assert evaluate_cost(c, 0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert float(c(0.5, 0.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("expr", [

@@ -584,3 +584,56 @@ csv_path = {csv}
     assert lines[0] == BALANCE_HEADER
     assert lines[1].startswith("2,")
     assert lines[2:] == ["# aborted at n=10000000"]
+
+
+# (section, key, subcommand that reads it) for every numeric INI key
+_NUMERIC_KEYS = [
+    ("cost", "validate_grid", "validate-cost"),
+    ("cost", "validate_tol", "validate-cost"),
+    ("cost", "beta", "solve-bridge"),
+    ("kernel", "eps", "converge"),
+    ("bridge", "m", "solve-bridge"),
+    ("bridge", "tol", "solve-bridge"),
+    ("bridge", "max_iter", "solve-bridge"),
+    ("bridge", "damping", "solve-bridge"),
+    ("study", "permanent_cap", "converge"),
+    ("study", "balance_tol", "converge"),
+    ("study", "balance_max_iter", "converge"),
+    ("study", "nystrom_m", "converge"),
+    ("study", "refinement_tol", "converge"),
+    ("study", "workers", "converge"),
+]
+_ZERO_ALLOWED = {"beta", "eps"}  # beta = 0 is a zero cost, eps = 0 rho = 1
+_LOAD_CHECKED = {"validate_tol", "tol", "max_iter", "balance_tol",
+                 "balance_max_iter", "refinement_tol", "workers"}
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "x"])
+@pytest.mark.parametrize("section,key,subcommand", _NUMERIC_KEYS,
+                         ids=[key for _, key, _ in _NUMERIC_KEYS])
+def test_cli_bad_numeric_value_is_one_line(tmp_path, capsys, section, key,
+                                           subcommand, value):
+    csv = tmp_path / "o.csv"
+    sections = {"bridge": {"m": "16"}, "study": {"n_list": "2 4"},
+                "output": {"csv_path": str(csv)}}
+    if section == "kernel":
+        sections["kernel"] = {"kind": "cosine"}
+    elif section == "study":
+        sections["kernel"] = {"kind": "constant"}
+    else:
+        sections["cost"] = {"family": "quadratic"}
+    sections.setdefault(section, {})[key] = value
+    cfg = _write_config(tmp_path / "c.ini", "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    code = main([subcommand, "--config", cfg])
+    err = capsys.readouterr().err.splitlines()
+    if key in _ZERO_ALLOWED and value == "0":
+        assert code == 0 and err == []
+        return
+    assert 1 <= code <= 5
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert not csv.exists()
+    if key in _LOAD_CHECKED:
+        assert code == 1 and f"bad value for '{key}'" in err[0]
+

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import permlim.permanent as permanent_module
 from permlim import (CapExceededError, RunConfig, RuntimeBudgetWarning,
@@ -19,6 +22,7 @@ def test_identity_and_ones():
     assert permanent_exact(np.ones((3, 3))).value == pytest.approx(6.0, abs=1e-12)
     assert permanent_brute(np.ones((4, 4))).value == pytest.approx(24.0, abs=1e-12)
     assert permanent_brute(np.eye(5)).value == pytest.approx(1.0, abs=1e-14)
+    assert permanent_exact(np.zeros((3, 3))).value == 0.0
 
 
 def test_two_by_two():
@@ -34,6 +38,14 @@ def test_methods_agree_with_brute_force():
             M = rng.uniform(0.0, 2.0, (n, n))
             ref = permanent_brute(M).value
             assert abs(permanent_exact(M).value - ref) <= 1e-12 * ref
+
+
+def test_dominant_row_keeps_digits():
+    # unscaled, Glynn's signed terms cancel to a relative error of ~1e4 here
+    M = np.random.default_rng(5).uniform(0.1, 2.0, (8, 8))
+    M[3] *= 1e4
+    ref = _exact_Dn(M) * math.factorial(8)
+    assert _rel_err(permanent_exact(M).value, ref) <= 1e-14
 
 
 def test_row_scaling_multilinearity():
@@ -57,12 +69,46 @@ def test_permutation_invariance():
                                                                   rel=1e-12)
 
 
-def test_value_log_consistency():
-    M = np.random.default_rng(3).uniform(0.5, 2.0, (6, 6))
-    pv = permanent_exact(M)
-    assert pv.value == pytest.approx(math.exp(pv.log_value), rel=1e-12)
-    zero = permanent_exact(np.zeros((3, 3)))
-    assert zero.value == 0.0 and zero.log_value == -math.inf
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                     database=None)
+_POSITIVE_SQUARE = st.integers(1, 10).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(0.1, 2.0)))
+
+
+@_PROPERTY
+@given(_POSITIVE_SQUARE, st.data())
+def test_property_row_and_column_permutations(M, data):
+    n = M.shape[0]
+    rows = data.draw(st.permutations(range(n)))
+    cols = data.draw(st.permutations(range(n)))
+    base = permanent_exact(M).value
+    assert permanent_exact(M[rows][:, cols]).value == pytest.approx(
+        base, rel=1e-12)
+
+
+@_PROPERTY
+@given(_POSITIVE_SQUARE)
+def test_property_transpose(M):
+    assert permanent_exact(M.T).value == pytest.approx(
+        permanent_exact(M).value, rel=1e-12)
+
+
+@_PROPERTY
+@given(_POSITIVE_SQUARE, st.data(), st.floats(0.01, 100.0))
+def test_property_row_scaling(M, data, c):
+    k = data.draw(st.integers(0, M.shape[0] - 1))
+    scaled = M.copy()
+    scaled[k] *= c
+    assert permanent_exact(scaled).value == pytest.approx(
+        c * permanent_exact(M).value, rel=1e-12)
+
+
+@_PROPERTY
+@given(_POSITIVE_SQUARE)
+def test_property_Dn_is_normalised_permanent(M):
+    n = M.shape[0]
+    assert compute_Dn(M).value * math.factorial(n) == pytest.approx(
+        permanent_exact(M).value, rel=1e-12)
 
 
 def test_caps_and_validation():
@@ -92,7 +138,7 @@ def test_compute_Dn_constant_is_one(const_source):
     for n in (1, 5, 12):
         pv = compute_Dn(sample_kernel(const_source, n))
         assert abs(pv.value - 1.0) <= 1e-11
-        assert pv.normalized
+        assert pv.n == n
 
 
 def test_compute_Dn_small_cases(cosine_half):

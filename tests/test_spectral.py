@@ -1,15 +1,15 @@
-import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from permlim import (RefinementWarning, SpectralGapError, SpectralGapWarning,
-                     balance_fixed_point, bn_matrix, bridge_source,
+from permlim import (DensitySource, RefinementWarning, SpectralGapError,
+                     SpectralGapWarning, balance_fixed_point, bridge_source,
                      centered_nystrom, compute_Dn, cosine_source,
-                     eigen_symmetric, fredholm_limit, gamma0,
-                     mccullagh_estimate, quadratic_cost, sample_kernel,
-                     solve_potential, tabulated_source)
+                     fredholm_limit, gamma0, mccullagh_estimate,
+                     quadratic_cost, sample_kernel, solve_potential,
+                     tabulated_source)
 
 
 def _continuum_reference(beta, m=64):
@@ -43,36 +43,26 @@ def test_gamma0_and_limit_match_continuum_reference(beta):
     assert report.converged and report.refinement_gap <= 1e-12
 
 
-def test_eigen_symmetric_basics():
-    np.testing.assert_allclose(eigen_symmetric(np.eye(3)), np.ones(3),
-                               atol=1e-12)
-    np.testing.assert_allclose(eigen_symmetric([[0.0, 1.0], [1.0, 0.0]]),
-                               [-1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(eigen_symmetric(np.full((4, 4), 0.25)),
-                               [0.0, 0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_eigen_symmetric_rejects_asymmetry():
-    with pytest.raises(ValueError, match="asymmetry"):
-        eigen_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+def _centered(res):
+    """B = A - J for the balanced matrix A = balanced / n."""
+    return res.balanced / res.n - 1.0 / res.n
 
 
 def test_bn_constant_kernel_is_zero(const_source):
     res = balance_fixed_point(sample_kernel(const_source, 5))
-    assert np.abs(bn_matrix(res)).max() == 0.0
+    assert np.abs(_centered(res)).max() == 0.0
 
 
 def test_bn_row_sums_vanish(cosine_half):
     res = balance_fixed_point(sample_kernel(cosine_half, 2))
-    B = bn_matrix(res)
+    B = _centered(res)
     assert np.abs(B.sum(axis=1)).max() <= 1e-12
 
 
 def test_bn_shifts_only_trivial_eigenvalue(cosine_half):
     res = balance_fixed_point(sample_kernel(cosine_half, 12))
-    A = res.balanced / res.n
-    eig_A = eigen_symmetric(A)
-    eig_B = eigen_symmetric(bn_matrix(res))
+    eig_A = np.linalg.eigvalsh(res.balanced / res.n)
+    eig_B = np.linalg.eigvalsh(_centered(res))
     # drop A's eigenvalue 1 and one zero of B; the rest must coincide
     rest_A = np.sort(eig_A)[:-1]
     eig_B_sorted = np.sort(eig_B)
@@ -83,9 +73,8 @@ def test_bn_shifts_only_trivial_eigenvalue(cosine_half):
 
 def test_bn_rejects_unbalanced_input(cosine_half):
     res = balance_fixed_point(sample_kernel(cosine_half, 8))
-    fake = dataclasses.replace(res, balanced=res.balanced + 0.05)
-    with pytest.raises(ValueError, match="annihilate"):
-        bn_matrix(fake)
+    with pytest.raises(ValueError, match="doubly stochastic"):
+        mccullagh_estimate((res.balanced + 0.05) / res.n)
 
 
 def test_mccullagh_uniform_matrix_is_exact():
@@ -162,11 +151,12 @@ def test_fredholm_cosine_matches_rank_one_value(cosine_half):
 
 def test_fredholm_report_reconstructible(cosine_half):
     report = fredholm_limit(cosine_half, 64)
-    assert report.fredholm_limit == report.det_I_minus_B2 ** -0.5
     lam = report.eigenvalues
     assert lam.size == 64
-    recomputed = float(np.prod(1.0 - lam * lam))
-    assert report.det_I_minus_B2 == pytest.approx(recomputed, rel=1e-10)
+    recomputed = math.exp(-0.5 * math.fsum(np.log1p(-lam * lam)))
+    assert report.fredholm_limit == recomputed
+    assert report.fredholm_limit == pytest.approx(
+        float(np.prod(1.0 - lam * lam)) ** -0.5, rel=1e-13)
     assert report.lambda_star == np.abs(report.eigenvalues).max()
 
 
@@ -205,8 +195,48 @@ def test_spectral_gap_warning_near_one():
 
 def test_finite_spectrum_tracks_nystrom(cosine_half):
     res = balance_fixed_point(sample_kernel(cosine_half, 400))
-    eig_B = eigen_symmetric(bn_matrix(res))
+    eig_B = np.linalg.eigvalsh(_centered(res))
     top_B = np.sort(np.abs(eig_B))[-3:]
     eig_C = np.linalg.eigvalsh(centered_nystrom(cosine_half, 400))
     top_C = np.sort(np.abs(eig_C))[-3:]
     assert np.abs(top_B - top_C).max() <= 5e-3
+
+
+def _cosine_sum_source(eps, terms=150):
+    """rho = 1 + 2 eps sum_{k <= terms} cos(k pi x) cos(k pi y): every
+    nontrivial eigenvalue is eps, so the limit is (1 - eps^2)^(-terms/2)."""
+    k = np.arange(1, terms + 1)
+
+    def rho(t):
+        c = np.cos(math.pi * np.outer(t, k))
+        return 1.0 + 2.0 * eps * (c @ c.T)
+
+    return DensitySource("synthetic-cosine", rho)
+
+
+def test_fredholm_large_value_does_not_underflow():
+    # the product of the factors 1 - eps^2 underflows to 0.0; the log-sum
+    # gives (1 - eps^2)^(-75) ~ 2.749e202
+    with pytest.warns(SpectralGapWarning), pytest.warns(RefinementWarning):
+        report = fredholm_limit(_cosine_sum_source(0.999), 256)
+    assert math.isfinite(report.fredholm_limit)
+    assert report.fredholm_limit == pytest.approx((1.0 - 0.999**2) ** -75,
+                                                  rel=1e-2)
+
+
+def test_fredholm_value_beyond_double_range_is_gap_error():
+    # exponent -75 log(1 - eps^2) = 811.5 > log(DBL_MAX) = 709.78
+    with pytest.raises(SpectralGapError, match="exceeds the double range") \
+            as info:
+        fredholm_limit(_cosine_sum_source(0.99999), 256)
+    assert "\n" not in str(info.value)
+    assert -75 * math.log1p(-0.99999**2) > math.log(sys.float_info.max)
+
+
+def test_fredholm_and_mccullagh_share_the_gap_margin():
+    with pytest.raises(SpectralGapError):
+        fredholm_limit(cosine_source(1.0 - 1e-9), 64)
+    n, eps = 10, 1.0 - 1e-9
+    v = math.sqrt(2.0 / n) * np.cos(math.pi * (np.arange(1, n + 1) - 0.5) / n)
+    with pytest.raises(SpectralGapError):
+        mccullagh_estimate(np.full((n, n), 1.0 / n) + eps * np.outer(v, v))
