@@ -90,6 +90,10 @@ def test_mccullagh_identity_matrix_fails_gap():
 def test_mccullagh_requires_doubly_stochastic():
     with pytest.raises(ValueError, match="doubly stochastic"):
         mccullagh_estimate(np.array([[0.9, 0.2], [0.2, 0.9]]))
+
+
+def test_eigen_symmetric_rejects_asymmetry():
+    # doubly stochastic but not symmetric
     cyclic = np.roll(np.eye(5), 1, axis=1)
     with pytest.raises(ValueError, match="asymmetry"):
         mccullagh_estimate(0.5 * (np.eye(5) + cyclic))
