@@ -33,6 +33,8 @@ from .errors import ConvergenceError, OverflowGuardError, SmoothnessWarning
 
 _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
 
+MIN_NODES = 8
+
 
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-point Gauss-Legendre rule on [0, 1]: ascending nodes, weights.
@@ -81,6 +83,13 @@ class PotentialSolution:
         return self.residual_trace[-1]
 
 
+def check_damping(damping: float) -> float:
+    """Return damping if it lies in (0, 1], the range solve_potential takes."""
+    if not 0.0 < damping <= 1.0:  # also rejects nan
+        raise ValueError("damping must lie in (0, 1]")
+    return damping
+
+
 def solve_potential(
     cost: CostFunction,
     m: int = 400,
@@ -96,10 +105,9 @@ def solve_potential(
     the undamped update target. When a step increases the residual the
     damping factor is halved, down to 1/16.
     """
-    if m < 8:
-        raise ValueError("m must be >= 8")
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1]")
+    if m < MIN_NODES:
+        raise ValueError(f"m must be >= {MIN_NODES}")
+    check_damping(damping)
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if max_iter < 1:

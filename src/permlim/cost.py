@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 FAMILIES = ("quadratic", "absolute", "tabulated", "custom-expression")
+MIN_GRID = 2
 
 _CHECK_NAMES = ("finiteness", "nonnegativity", "symmetry", "diagonal", "reflection")
 
@@ -155,8 +156,8 @@ def validate_cost(cost: CostFunction, grid_size: int, tol: float) -> ValidationR
     a nonzero diagonal or broken reflection symmetry c(1-x,1-y) = c(x,y)
     only warns, since the limit theory does not use those two conditions.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be >= {MIN_GRID}")
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     t = np.arange(grid_size + 1) / grid_size

@@ -133,31 +133,39 @@ def _parse_tol(text) -> float:
     return tol
 
 
-def _parse_count(text) -> int:
-    count = int(text)
-    if count < 1:
-        raise ValueError("must be an integer >= 1")
-    return count
+def _at_least(minimum):
+    """Parser of an integer >= minimum."""
+    def parse(text) -> int:
+        count = int(text)
+        if count < minimum:
+            raise ValueError(f"must be an integer >= {minimum}")
+        return count
+    return parse
 
 
 # Every INI key: section -> key -> (RunConfig field, parser); RunConfig holds
 # the defaults. Keys mapped to None are read by _build_cost or _build_kernel.
+# A parser enforces the limit the key's stage enforces, from that stage's
+# constant, so a bad value fails at load time instead of after earlier solves.
 _SCHEMA = {
     "cost": dict.fromkeys(("family", "beta", "path", "expression",
                            "smoothness")) | {
-        "validate_grid": ("validate_grid", int),
+        "validate_grid": ("validate_grid", _at_least(cost_mod.MIN_GRID)),
         "validate_tol": ("validate_tol", _parse_tol)},
     "kernel": dict.fromkeys(("kind", "eps", "path")),
-    "bridge": {"m": ("bridge_m", int), "tol": ("bridge_tol", _parse_tol),
-               "max_iter": ("bridge_max_iter", _parse_count),
-               "damping": ("bridge_damping", float)},
+    "bridge": {"m": ("bridge_m", _at_least(bridge_mod.MIN_NODES)),
+               "tol": ("bridge_tol", _parse_tol),
+               "max_iter": ("bridge_max_iter", _at_least(1)),
+               "damping": ("bridge_damping",
+                           lambda text: bridge_mod.check_damping(float(text)))},
     "study": {"n_list": ("n_list", _parse_n_list),
-              "permanent_cap": ("permanent_cap", int),
+              "permanent_cap": ("permanent_cap", _at_least(1)),
               "balance_tol": ("balance_tol", _parse_tol),
-              "balance_max_iter": ("balance_max_iter", _parse_count),
-              "nystrom_m": ("nystrom_m", int),
+              "balance_max_iter": ("balance_max_iter", _at_least(1)),
+              "nystrom_m": ("nystrom_m",
+                            _at_least(spectral_mod.MIN_RESOLUTION)),
               "refinement_tol": ("refinement_tol", _parse_tol),
-              "workers": ("workers", _parse_count)},
+              "workers": ("workers", _at_least(1))},
     "output": {"csv_path": ("csv_path", str),
                "eigen_dump": ("eigen_dump", _parse_bool)},
 }

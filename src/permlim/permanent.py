@@ -6,20 +6,32 @@ step updates a single running vector of column sums. A brute-force sum
 over all n! permutations (n <= 9) is kept as the small-n reference.
 
 The 2^(n-1) terms alternate in sign and cancel almost completely, which
-amplifies rounding: accumulation therefore runs in extended precision
-(np.longdouble) with Kahan compensation across blocks. Against an exact
-big-integer permanent of the same float64 matrix, D_n is within 4e-15
-relative at n = 16; the tests gate it at 1e-13.
+amplifies rounding: the column sums and the Kahan-compensated sum of the
+signed products run in extended precision (long double). Every row is
+first divided by a power of two near its largest modulus, which is exact
+and keeps one dominant row from swamping the column sums. Against an exact
+big-integer permanent of the same float64 matrix, D_n is within about
+1e-16 relative at n = 12 and 16 on the quadratic bridge; the tests gate it
+at 1e-13.
 
-Normalised mode divides row k of the matrix by k before the permanent, so
-the result is per(M)/n! without ever forming n!.
+The Gray-code loop is a small C function, compiled with the system's
+``cc`` on the first permanent of a process (never at import), cached in
+``$XDG_CACHE_HOME/permlim`` or ``~/.cache/permlim`` under a name hashed
+from its source, flags and platform, and called through ctypes, which
+releases the GIL, so worker threads run granules in parallel. When no
+library can be built or loaded, the same loop runs in numpy, about six
+times slower per term; there is no setting that chooses between the two.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import math
+import os
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +47,53 @@ _GRANULE = 1 << 18  # work unit; fixed so results do not depend on workers
 _BRUTE_MAX = 9
 
 DEFAULT_CAP = 26
-_WARN_ABOVE = DEFAULT_CAP  # ~1 us per term: n = 24 takes seconds, n = 28 minutes
+# The compiled loop takes 150-190 ns per term on one core at n = 22-26, so
+# n = 26 takes about 6 s, n = 28 about 30 s, and each further n doubles
+# that; the numpy fallback takes about 900 ns per term.
+_WARN_ABOVE = DEFAULT_CAP
+_NS_PER_TERM = 200
+
+_COMPILER = "cc"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_COMPILE_TIMEOUT_S = 60
+
+# Glynn terms for Gray-code steps k in (k_start, k_end]; the same loop as
+# _glynn_chunk, with one Kahan-compensated sum over the whole granule.
+_C_SOURCE = r"""
+#include <stdint.h>
+
+void glynn_chunk(const long double *rows, int n, int64_t k_start,
+                 int64_t k_end, long double *out)
+{
+    long double cols[n], total = 0.0L, comp = 0.0L;
+    int64_t g = k_start ^ (k_start >> 1);
+    int odd = 0;
+    for (int j = 0; j < n; j++)
+        cols[j] = rows[j];
+    for (int i = 1; i < n; i++) {
+        int minus = (int)((g >> (i - 1)) & 1);
+        odd ^= minus;
+        for (int j = 0; j < n; j++)
+            cols[j] += minus ? -rows[i * n + j] : rows[i * n + j];
+    }
+    for (int64_t k = k_start + 1; k <= k_end; k++) {
+        int pos = __builtin_ctzll((unsigned long long)k);
+        const long double *row = rows + (pos + 1) * n;
+        long double step = (((k ^ (k >> 1)) >> pos) & 1) ? -2.0L : 2.0L;
+        long double prod = 1.0L;
+        odd ^= 1;
+        for (int j = 0; j < n; j++) {
+            cols[j] += step * row[j];
+            prod *= cols[j];
+        }
+        long double y = (odd ? -prod : prod) - comp;
+        long double t = total + y;
+        comp = (t - total) - y;
+        total = t;
+    }
+    *out = total;
+}
+"""
 
 
 @dataclass(frozen=True)
@@ -50,17 +108,14 @@ def permanent_exact(M, *, cap: int = DEFAULT_CAP,
                     workers: int = 1) -> PermanentValue:
     """Exact permanent by Glynn's formula.
 
-    The permanent is linear in each row, so every row is divided by its
-    largest modulus first and the scales are multiplied back. Without that
-    step a row that dominates the column sums makes the signed terms cancel
-    catastrophically: one row of a positive 8 x 8 matrix scaled by 100 cost
-    10 digits, and by 1e4 all of them.
+    The permanent is linear in each row, so every row is divided by a power
+    of two near its largest modulus first and the powers are multiplied
+    back. Without that step a row that dominates the column sums makes the
+    signed terms cancel catastrophically: one row of a positive 8 x 8
+    matrix scaled by 100 cost 10 digits, and by 1e4 all of them.
     """
     M = _check_matrix(M, cap)
-    scale = np.abs(M).max(axis=1)
-    scale[scale == 0.0] = 1.0  # a zero row stays zero
-    value = _permanent_raw(M / scale[:, None], workers)
-    return PermanentValue(M.shape[0], value * math.prod(scale.tolist()))
+    return PermanentValue(M.shape[0], _permanent(M, workers))
 
 
 def permanent_brute(M) -> PermanentValue:
@@ -82,11 +137,15 @@ def _permutation_table(n: int) -> np.ndarray:
 
 
 def compute_Dn(K, *, cap: int = DEFAULT_CAP, workers: int = 1) -> PermanentValue:
-    """per(K)/n! for a sampled kernel or a square array, in normalised mode."""
+    """per(K)/n! for a sampled kernel or a square array.
+
+    The division by n! happens once, in extended precision, on the sum that
+    :func:`permanent_exact` also computes, so D_n never passes through the
+    overflowing per(K) and the entries are not rounded by a division.
+    """
     entries = _check_matrix(K.entries if isinstance(K, KernelMatrix) else K, cap)
     n = entries.shape[0]
-    value = _permanent_raw(entries / np.arange(1, n + 1)[:, None], workers)
-    return PermanentValue(n, value)
+    return PermanentValue(n, _permanent(entries, workers, math.factorial(n)))
 
 
 def _check_matrix(M, cap, reason=None) -> np.ndarray:
@@ -103,33 +162,42 @@ def _check_matrix(M, cap, reason=None) -> np.ndarray:
     return M
 
 
-def _permanent_raw(M, workers) -> float:
-    """per(M) = 2^(1-n) sum over delta in {+-1}^n, delta_1 = +1, of
-    prod_k delta_k * prod_j sum_i delta_i M_ij (Glynn)."""
+def _permanent(M, workers, divisor=1) -> float:
+    """per(M) / divisor, with M's rows rescaled by powers of two.
+
+    Row i is multiplied by 2^-e_i, where 2^e_i is the power of two just
+    above its largest modulus (np.frexp), so every row peaks in [1/2, 1).
+    Such a scale is exact in binary floating point, and the sum of the e_i
+    is added back to the exponent of the result.
+    """
     n = M.shape[0]
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    terms = (1 << (n - 1)) - 1
     if n > _WARN_ABOVE:
         warnings.warn(
-            f"permanent at n={n} evaluates ~2^{n} terms; expect minutes of runtime",
+            f"permanent at n={n} evaluates 2^{n - 1} terms: expect about "
+            f"{terms * _NS_PER_TERM * 1e-9 / workers:.0f} s at workers={workers}, "
+            "several times more without a C compiler",
             RuntimeBudgetWarning, stacklevel=3)
-    if n == 1:
-        return float(M[0, 0])
-    terms = (1 << (n - 1)) - 1
-    rows = np.ascontiguousarray(M, dtype=_LD)
+    _, exps = np.frexp(np.abs(M).max(axis=1))  # a zero row keeps e = 0
+    rows = np.ascontiguousarray(np.ldexp(M, -exps[:, None]), dtype=_LD)
+    chunk = _compiled_kernel() or _glynn_chunk
 
-    # The sum is cut at fixed granule boundaries; workers only decide which
-    # thread evaluates which granule, and the Kahan reduction below runs in
-    # ascending granule order, so the value is bit-identical for any worker
-    # count (the terms cancel so heavily that *any* count-dependent
-    # regrouping would move the result by far more than 1e-12 relative).
+    # per(M) = 2^(1-n) sum over delta in {+-1}^n, delta_1 = +1, of
+    # prod_k delta_k * prod_j sum_i delta_i M_ij (Glynn). The sum is cut at
+    # fixed granule boundaries; workers only decide which thread evaluates
+    # which granule, and the Kahan reduction below runs in ascending granule
+    # order, so the value is bit-identical for any worker count (the terms
+    # cancel so heavily that *any* count-dependent regrouping would move the
+    # result by far more than 1e-12 relative).
     edges = list(range(0, terms, _GRANULE)) + [terms]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
-    if workers == 1 or len(spans) == 1:
-        totals = [_glynn_chunk(rows, n, *span) for span in spans]
+    if workers == 1 or len(spans) <= 1:
+        totals = [chunk(rows, n, *span) for span in spans]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-            totals = list(pool.map(lambda s: _glynn_chunk(rows, n, *s), spans))
+            totals = list(pool.map(lambda s: chunk(rows, n, *s), spans))
     total = _LD(0.0)
     comp = _LD(0.0)
     for bt in totals:
@@ -138,7 +206,81 @@ def _permanent_raw(M, workers) -> float:
         comp = (t - total) - y
         total = t
     total = total + np.prod(rows.sum(axis=0, dtype=_LD), dtype=_LD)
-    return float(total) / float(1 << (n - 1))
+    return float(np.ldexp(total / _LD(divisor), int(exps.sum()) - (n - 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled_kernel():
+    """The C loop with the signature of :func:`_glynn_chunk`, or None.
+
+    None means the library could not be built or loaded: no compiler, a
+    failed or timed-out compile, an unusable cache directory or a failed
+    load. The result is kept for the life of the process.
+    """
+    if os.name != "posix" or (
+            ctypes.sizeof(ctypes.c_longdouble) != np.dtype(_LD).itemsize):
+        return None
+    try:
+        fn = ctypes.CDLL(_build_library()).glynn_chunk
+    except OSError:
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_void_p)
+    fn.restype = None
+
+    def chunk(rows, n, k_start, k_end):
+        if (rows.dtype != _LD or rows.shape != (n, n)
+                or not rows.flags.c_contiguous
+                or not 0 <= k_start <= k_end < 1 << (n - 1)):
+            raise ValueError("glynn_chunk: bad rows or term range")
+        # A pointer to a long double buffer, not restype c_longdouble: that
+        # would round each granule total to a Python float.
+        out = np.zeros(1, dtype=_LD)
+        fn(rows.ctypes.data, n, k_start, k_end, out.ctypes.data)
+        return out[0]
+
+    return chunk
+
+
+def _build_library() -> str:
+    """Path of the compiled kernel in the user's cache, compiling on a miss.
+
+    The compiler writes to a temporary name that os.replace then moves into
+    place, so a concurrent process never loads a half-written library. Any
+    failure is an OSError.
+    """
+    # Imported here: at module level they would add about 12 ms to every
+    # `import permlim`, including the many runs that build no permanent.
+    import hashlib
+    import subprocess
+    import sysconfig
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(base, "permlim")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    info = os.stat(cache)
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{cache} is not private to this user")
+    key = hashlib.sha256("\0".join(
+        (_C_SOURCE, *_CFLAGS, sysconfig.get_platform())).encode()).hexdigest()
+    path = os.path.join(cache, f"glynn-{key[:16]}.so")
+    if os.path.exists(path):
+        return path
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix="glynn-", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([_COMPILER, *_CFLAGS, "-x", "c", "-", "-o", tmp],
+                       input=_C_SOURCE, text=True, capture_output=True,
+                       check=True, timeout=_COMPILE_TIMEOUT_S)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:  # nonzero exit or timeout
+        raise OSError(f"cannot compile the Glynn kernel: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return path
 
 
 def _glynn_chunk(rows, n, k_start, k_end) -> np.longdouble:

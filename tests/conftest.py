@@ -4,6 +4,15 @@ from permlim import (bridge_source, constant_source, cosine_source,
                      quadratic_cost, solve_potential)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_kernel_cache(tmp_path_factory):
+    """Build the compiled Glynn kernel into a session directory, so the
+    suite, and the CLI processes it starts, leave the user's cache alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def quad_cost():
     return quadratic_cost(1.0)

@@ -604,13 +604,20 @@ _NUMERIC_KEYS = [
     ("study", "workers", "converge"),
 ]
 _ZERO_ALLOWED = {"beta", "eps"}  # beta = 0 is a zero cost, eps = 0 rho = 1
-_LOAD_CHECKED = {"validate_tol", "tol", "max_iter", "balance_tol",
-                 "balance_max_iter", "refinement_tol", "workers"}
+_LOAD_CHECKED = {"validate_grid", "validate_tol", "m", "tol", "max_iter",
+                 "damping", "permanent_cap", "balance_tol", "balance_max_iter",
+                 "nystrom_m", "refinement_tol", "workers"}
+# the first value past each stage limit that nan, -1, 0 and x do not probe
+_PAST_LIMIT = [("cost", "validate_grid", "validate-cost", "1"),
+               ("bridge", "m", "solve-bridge", "7"),
+               ("bridge", "damping", "solve-bridge", "1.5"),
+               ("study", "nystrom_m", "converge", "31")]
+_BAD_VALUES = [case + (value,) for value in ("nan", "-1", "0", "x")
+               for case in _NUMERIC_KEYS] + _PAST_LIMIT
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "x"])
-@pytest.mark.parametrize("section,key,subcommand", _NUMERIC_KEYS,
-                         ids=[key for _, key, _ in _NUMERIC_KEYS])
+@pytest.mark.parametrize("section,key,subcommand,value", _BAD_VALUES,
+                         ids=[f"{key}-{value}" for _, key, _, value in _BAD_VALUES])
 def test_cli_bad_numeric_value_is_one_line(tmp_path, capsys, section, key,
                                            subcommand, value):
     csv = tmp_path / "o.csv"

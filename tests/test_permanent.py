@@ -1,4 +1,8 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +48,10 @@ def test_dominant_row_keeps_digits():
     # unscaled, Glynn's signed terms cancel to a relative error of ~1e4 here
     M = np.random.default_rng(5).uniform(0.1, 2.0, (8, 8))
     M[3] *= 1e4
-    ref = _exact_Dn(M) * math.factorial(8)
-    assert _rel_err(permanent_exact(M).value, ref) <= 1e-14
+    exact = _exact_Dn(M)
+    assert _rel_err(permanent_exact(M).value,
+                    exact * math.factorial(8)) <= 1e-14
+    assert _rel_err(compute_Dn(M).value, exact) <= 1e-14
 
 
 def test_row_scaling_multilinearity():
@@ -181,11 +187,121 @@ def test_compute_Ln_values():
     assert _Ln(quad, 2) == pytest.approx(expected, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [12, 16])
-def test_compute_Dn_matches_exact_permanent(n, cosine_half, quad_source):
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """An empty private cache directory for the compiled Glynn kernel; the
+    process-wide loader result is forgotten before and after the test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    permanent_module._compiled_kernel.cache_clear()
+    yield tmp_path / "xdg" / "permlim"
+    permanent_module._compiled_kernel.cache_clear()
+
+
+def _use_kernel(kernel, monkeypatch):
+    """Run permanents on the compiled loop only, or force the numpy fallback."""
+    if kernel == "numpy":
+        monkeypatch.setattr(permanent_module, "_compiled_kernel", lambda: None)
+        return
+    if permanent_module._compiled_kernel() is None:
+        if shutil.which(permanent_module._COMPILER) is not None:
+            pytest.fail("a C compiler exists but the Glynn kernel did not build")
+        pytest.skip("no C compiler: only the numpy fallback can run here")
+
+    def numpy_loop(*args):
+        raise AssertionError("the numpy loop ran although the kernel built")
+
+    monkeypatch.setattr(permanent_module, "_glynn_chunk", numpy_loop)
+
+
+# ids 12 and 16 are the compiled path, the default wherever it builds
+@pytest.mark.parametrize("n,kernel", [(12, "compiled"), (16, "compiled"),
+                                      (12, "numpy"), (16, "numpy")],
+                         ids=["12", "16", "numpy-12", "numpy-16"])
+def test_compute_Dn_matches_exact_permanent(n, kernel, cosine_half,
+                                            quad_source, monkeypatch):
+    _use_kernel(kernel, monkeypatch)
     for source in (cosine_half, quad_source):
         K = sample_kernel(source, n)
         assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+
+
+_FAKE_COMPILERS = {
+    "missing": None,
+    "fails": "#!/bin/sh\nexit 1\n",
+    "hangs": "#!/bin/sh\nexec sleep 30\n",
+}
+
+
+@pytest.mark.parametrize("failure", ["unwritable cache", "shared cache",
+                                     *_FAKE_COMPILERS])
+def test_failed_build_falls_back_to_numpy(failure, kernel_cache, tmp_path,
+                                          monkeypatch, cosine_half):
+    if failure == "unwritable cache":  # XDG_CACHE_HOME is a regular file
+        (tmp_path / "xdg").write_text("")
+    elif failure == "shared cache":  # other users could plant a library
+        kernel_cache.mkdir(parents=True)
+        kernel_cache.chmod(0o777)
+    else:
+        cc = tmp_path / "cc"
+        if _FAKE_COMPILERS[failure] is not None:
+            cc.write_text(_FAKE_COMPILERS[failure])
+            cc.chmod(0o755)
+        monkeypatch.setattr(permanent_module, "_COMPILER", str(cc))
+        monkeypatch.setattr(permanent_module, "_COMPILE_TIMEOUT_S", 0.5)
+    K = sample_kernel(cosine_half, 12)
+    assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+    assert permanent_module._compiled_kernel() is None
+    if kernel_cache.is_dir():  # a failed compile leaves no file behind
+        assert list(kernel_cache.iterdir()) == []
+
+
+def test_compiled_kernel_is_cached_on_disk(kernel_cache, monkeypatch,
+                                           cosine_half):
+    if shutil.which(permanent_module._COMPILER) is None:
+        pytest.skip("no C compiler")
+    runs = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    K = sample_kernel(cosine_half, 12)
+    first = compute_Dn(K).value
+    assert len(runs) == 1
+    assert kernel_cache.stat().st_mode & 0o777 == 0o700
+    (library,) = kernel_cache.iterdir()
+    permanent_module._compiled_kernel.cache_clear()  # as in a new process
+    assert compute_Dn(K).value == first
+    assert len(runs) == 1
+    assert list(kernel_cache.iterdir()) == [library]
+
+
+def test_import_and_config_build_nothing(tmp_path):
+    """Start-up stays free of the compile: it happens on the first permanent."""
+    marker = tmp_path / "compiler-ran"
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / permanent_module._COMPILER
+    cc.write_text(f"#!/bin/sh\ntouch {marker}\nexit 1\n")
+    cc.chmod(0o755)
+    config = tmp_path / "c.ini"
+    config.write_text("[cost]\nfamily = quadratic\n[study]\nn_list = 4 8\n")
+    src = os.path.dirname(os.path.dirname(permanent_module.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
+               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, permlim; "
+         "permlim.load_config(sys.argv[1]); "
+         "print(permlim.permanent._compiled_kernel.cache_info().misses)",
+         str(config)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
+    assert not marker.exists()
+    assert not (tmp_path / "xdg").exists()
 
 
 def test_converge_derived_columns_match_exact_permanents(tmp_path, quad_cost):
