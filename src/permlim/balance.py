@@ -16,15 +16,22 @@ is symmetric positive definite, so every solve with it is a matrix-free
 conjugate-gradient run (Hestenes and Stiefel, 1952) that only multiplies
 by R. The same run, on a fixed generic vector for a few steps, is the
 up-front singularity check.
+
+R is never formed: every product with it is the matvec (K @ v) / n on the
+caller's read-only entries, the row sums of K give q, symmetry is checked
+over tiles of the upper triangle, and the balanced matrix is formed only
+when it is read. Beyond the kernel itself, balancing allocates vectors
+and small tiles, not n x n arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bridge import max_asymmetry
 from .errors import BalanceError, SingularSystemError
 from .grid import KernelMatrix, norm_2n, norm_inf
 
@@ -36,20 +43,27 @@ _CHECK_STEPS = 12  # cap of the singularity check; measured kernels stop in 2-7
 
 @dataclass(frozen=True)
 class BalanceResult:
-    """Perturbation h, scaling u = 1 + h, and the rescaled matrix.
+    """Perturbation h, scaling u = 1 + h, and the kernel they rescale.
 
-    ``balanced[i, j] = u_i * entries[i, j] * u_j``; dividing it by n gives
-    the doubly stochastic matrix whose permanent the limit theory studies.
-    ``residual`` is the stopping-rule value: the normalised 2-norm of F(h)
-    for the fixed-point method, the sup norm of u*(R u) - 1 for scaling.
+    ``kernel`` is the read-only matrix the solver balanced, held without a
+    copy. ``balanced[i, j] = u_i * kernel[i, j] * u_j`` is computed on
+    demand, as a new array on every access, so the result itself holds no
+    second n x n array; dividing it by n gives the doubly stochastic
+    matrix whose permanent the limit theory studies. ``residual`` is the
+    stopping-rule value: the normalised 2-norm of F(h) for the fixed-point
+    method, the sup norm of u*(R u) - 1 for scaling.
     """
 
     n: int
     h: np.ndarray
     u: np.ndarray
-    balanced: np.ndarray
+    kernel: np.ndarray = field(repr=False)
     iterations: int
     residual: float
+
+    @property
+    def balanced(self) -> np.ndarray:
+        return self.kernel * np.outer(self.u, self.u)
 
 
 @dataclass(frozen=True)
@@ -89,19 +103,19 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
     norm_2n(h) <= 0.5: the contraction argument only holds in a shrinking
     ball around 0, and outside it log(1 + h_i) may stop being defined.
     """
-    entries, n, R, q = _prepare(K)
+    entries, n, q = _prepare(K)
     _check_positive(tol, max_iter)
-    _solve(R, np.random.default_rng(0).standard_normal(n), _CHECK_STEPS)
+    _solve(entries, np.random.default_rng(0).standard_normal(n), _CHECK_STEPS)
 
     h = np.zeros(n)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        Rh = R @ h
+        Rh = entries @ h / n
         F = h + Rh + q + h * q + h * Rh
         residual = norm_2n(F)
         if residual <= tol and norm_inf(F) <= 10.0 * tol:
-            return _result(entries, n, h, 1.0 + h, it, residual)
-        h = h - _solve(R, F, n)
+            return BalanceResult(n, h, 1.0 + h, entries, it, residual)
+        h = h - _solve(entries, F, n)
         if norm_2n(h) > _BALL_RADIUS:
             raise BalanceError(
                 f"iterate left the ball norm_2n(h) <= {_BALL_RADIUS} at "
@@ -121,19 +135,19 @@ def balance_symmetric_scaling(K, tol: float = 1e-12,
     alternating row/column scaling; it serves as an independent check on
     the fixed-point solver. Stops when max |u_i (R u)_i - 1| <= tol.
     """
-    entries, n, R, _ = _prepare(K)
+    entries, n, _ = _prepare(K)
     _check_positive(tol, max_iter)
     u = np.ones(n)
     for it in range(1, max_iter + 1):
-        Ru = R @ u
+        Ru = entries @ u / n
         if Ru.min() <= 0.0:
             raise BalanceError(
                 "scaling produced a nonpositive row image; the kernel has an "
                 "effectively zero row", iterations=it)
         u = np.sqrt(u / Ru)
-        residual = norm_inf(u * (R @ u) - 1.0)
+        residual = norm_inf(u * (entries @ u / n) - 1.0)
         if residual <= tol:
-            return _result(entries, n, u - 1.0, u, it, residual)
+            return BalanceResult(n, u - 1.0, u, entries, it, residual)
     raise BalanceError(
         f"symmetric scaling did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {residual:.3e})", residual=residual, iterations=max_iter)
@@ -153,7 +167,11 @@ def balance_diagnostics(res: BalanceResult) -> BalanceDiagnostics:
 
 
 def _prepare(K):
+    """The read-only kernel entries, n, and the row-sum defect q of K / n."""
     entries = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    if entries.flags.writeable:  # the result reads them again for balanced
+        entries = entries.copy()
+        entries.setflags(write=False)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("balance expects a square kernel matrix")
     n = entries.shape[0]
@@ -161,17 +179,16 @@ def _prepare(K):
         raise ValueError("kernel contains non-finite entries")
     if entries.min() < 0.0:
         raise ValueError("kernel entries must be nonnegative")
-    if float(np.abs(entries - entries.T).max()) > _SYM_TOL:
+    if max_asymmetry(entries) > _SYM_TOL:
         raise ValueError("kernel must be symmetric")
-    if entries.sum(axis=1).min() <= 0.0:
+    rows = entries.sum(axis=1)
+    if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
-    R = entries / n
-    q = R.sum(axis=1) - 1.0
-    return entries, n, R, q
+    return entries, n, rows / n - 1.0
 
 
-def _solve(R, b, max_steps):
-    """x with (I + R) x = b by conjugate gradients from x = 0.
+def _solve(K, b, max_steps):
+    """x with (I + R) x = b, R = K / n, by conjugate gradients from x = 0.
 
     Takes at most min(max_steps, n) steps and stops once the residual norm
     is _CG_RTOL times that of b. Raises SingularSystemError on a search
@@ -185,7 +202,7 @@ def _solve(R, b, max_steps):
     for _ in range(min(max_steps, b.size)):
         if rr <= stop:
             break
-        Ap = p + R @ p
+        Ap = p + K @ p / b.size
         pAp = float(p @ Ap)
         if pAp <= 1e-14 * float(p @ p):
             raise SingularSystemError(
@@ -205,7 +222,3 @@ def _check_positive(tol, max_iter):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-
-def _result(entries, n, h, u, iterations, residual):
-    balanced = entries * np.outer(u, u)
-    return BalanceResult(n, h, u, balanced, iterations, residual)

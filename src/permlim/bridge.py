@@ -32,6 +32,7 @@ from .cost import CostFunction, bilinear_interpolant
 from .errors import ConvergenceError, OverflowGuardError, SmoothnessWarning
 
 _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
+_BLOCK = 128  # rows per sampled block row and side of a symmetry-check tile
 
 MIN_NODES = 8
 
@@ -199,9 +200,21 @@ def marginal_residual(solution: PotentialSolution,
 class DensitySource:
     """A symmetric density on the unit square that grids are sampled from.
 
-    Called on ascending nodes t, it evaluates ``density(t)`` on the tensor
-    grid once and copies the upper triangle rho(min, max) into the lower,
-    so the returned matrix rho(t_i, t_j) is exactly symmetric. Kinds:
+    ``density(x, y)`` takes two node vectors and returns the block
+    rho(x_i, y_j) of shape (x.size, y.size). A Gibbs source also sets
+    ``potential``: then ``density`` returns the cost block c(x_i, y_j), and
+    the source is rho = exp(-c(x, y) - a(x) - a(y)) with a = potential(t)
+    evaluated once per call.
+
+    Called on ascending nodes t, the source fills one n x n matrix
+    block-row by block-row, _BLOCK rows at a time. Each block row is
+    evaluated from the diagonal rightwards only, so every entry is
+    rho(t_min, t_max), and is mirrored into the lower triangle: the
+    returned matrix rho(t_i, t_j) is exactly symmetric, and no n x n
+    temporary is made. A Gibbs block is negated, shifted by the potential
+    and exponentiated in place, in the order -c - a_i - a_j; an exponent
+    beyond +/-700 raises OverflowGuardError before exp runs on its block.
+    Kinds:
 
     * ``bridge``: rho from a converged :class:`PotentialSolution`.
     * ``synthetic-constant``: rho = 1.
@@ -213,34 +226,43 @@ class DensitySource:
     """
 
     kind: str
-    density: Callable[[np.ndarray], np.ndarray]
+    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        rho = np.asarray(self.density(t), dtype=float)
-        for i in range(1, t.size):  # row by row: no n x n temporary
-            rho[i, :i] = rho[:i, i]
+        n = t.size
+        a = None if self.potential is None else self.potential(t)
+        rho = np.empty((n, n))
+        for s in range(0, n, _BLOCK):
+            e = min(s + _BLOCK, n)
+            row = rho[s:e, s:]  # a view: rows s..e-1, columns from s on
+            if a is None:
+                row[...] = self.density(t[s:e], t[s:])
+            else:
+                np.negative(self.density(t[s:e], t[s:]), out=row)
+                row -= a[s:e, None]
+                row -= a[None, s:]
+                _guard_range("density", float(row.min()), float(row.max()))
+                np.exp(row, out=row)
+            diag = row[:, :e - s]
+            np.copyto(diag, diag.T, where=np.tri(e - s, k=-1, dtype=bool))
+            rho[e:, s:e] = row[:, e - s:].T
         return rho
 
 
 def bridge_source(solution: PotentialSolution) -> DensitySource:
     """rho(x, y) = exp(-c(x, y) - a(x) - a(y)) from a converged potential."""
 
-    def rho(t):
-        C = np.asarray(solution.cost.evaluator(t[:, None], t[None, :]),
-                       dtype=float)
-        a = evaluate_potential(solution, t)
-        expo = -C - a[:, None] - a[None, :]
-        _guard_range("density", float(expo.min()), float(expo.max()))
-        return np.exp(expo)
-
-    return DensitySource("bridge", rho)
+    return DensitySource(
+        "bridge", lambda x, y: solution.cost.evaluator(x[:, None], y[None, :]),
+        lambda t: evaluate_potential(solution, t))
 
 
 def constant_source() -> DensitySource:
     """rho = 1, the product measure; every derived quantity is known exactly."""
     return DensitySource("synthetic-constant",
-                         lambda t: np.ones((t.size, t.size)))
+                         lambda x, y: np.ones((x.size, y.size)))
 
 
 def cosine_source(eps: float) -> DensitySource:
@@ -254,9 +276,9 @@ def cosine_source(eps: float) -> DensitySource:
     if not (0.0 <= eps < 1.0):
         raise ValueError("cosine source needs 0 <= eps < 1")
 
-    def rho(t):
-        c = np.cos(math.pi * t)
-        return 1.0 + 2.0 * eps * c[:, None] * c[None, :]
+    def rho(x, y):
+        return (1.0 + 2.0 * eps * np.cos(math.pi * x)[:, None]
+                * np.cos(math.pi * y)[None, :])
 
     return DensitySource("synthetic-cosine", rho)
 
@@ -265,12 +287,24 @@ def tabulated_source(values: np.ndarray) -> DensitySource:
     """Bilinear interpolation of a symmetric n x n matrix sampled at nodes
     i/(n-1); a table asymmetric beyond 1e-12 raises ValueError."""
     interpolate, _ = bilinear_interpolant(values)
-    table = np.asarray(values, dtype=float)
-    asym = float(np.abs(table - table.T).max())
+    asym = max_asymmetry(np.asarray(values, dtype=float))
     if asym > 1e-12:
         raise ValueError(f"tabulated kernel asymmetry {asym:.3e} exceeds 1e-12")
     return DensitySource("tabulated-kernel",
-                         lambda t: interpolate(t[:, None], t[None, :]))
+                         lambda x, y: interpolate(x[:, None], y[None, :]))
+
+
+def max_asymmetry(M: np.ndarray) -> float:
+    """max |M[i, j] - M[j, i]| of a square matrix, over _BLOCK x _BLOCK
+    tiles of the upper triangle, so no n x n temporary is made."""
+    n = M.shape[0]
+    worst = 0.0
+    for s in range(0, n, _BLOCK):
+        for t in range(s, n, _BLOCK):
+            tile = np.abs(M[s:s + _BLOCK, t:t + _BLOCK]
+                          - M[t:t + _BLOCK, s:s + _BLOCK].T)
+            worst = max(worst, float(tile.max()))
+    return worst
 
 
 def _guard_range(what: str, lo: float, hi: float) -> None:

@@ -2,13 +2,13 @@
 
 A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
 i, j = 1..n, the right endpoints of the uniform partition of [0,1]. The
-density source evaluates the node vector i/n and returns K exactly
-symmetric by construction; sampling checks it for finiteness and
-positivity and averages nothing. Every later stage (balancing,
-permanents, spectra) consumes these matrices. The normalised kernel K/n
-has row sums close to 1; the row-defect vector measures how close, and
-the Riemann-sum helpers quantify why the defect decays at the rate it
-does.
+density source fills K from the node vector i/n block row by block row,
+exactly symmetric by construction and with no n x n temporary; sampling
+checks it for finiteness and positivity and averages nothing. Every later
+stage (balancing, permanents, spectra) consumes these matrices. The
+normalised kernel K/n has row sums close to 1; the row-defect vector
+measures how close, and the Riemann-sum helpers quantify why the defect
+decays at the rate it does.
 """
 
 from __future__ import annotations

@@ -215,13 +215,20 @@ def _compiled_kernel():
 
     None means the library could not be built or loaded: no compiler, a
     failed or timed-out compile, an unusable cache directory or a failed
-    load. The result is kept for the life of the process.
+    load. A cached file that fails to load (truncated, say) is compiled
+    once more and replaced before giving up. The result is kept for the
+    life of the process.
     """
     if os.name != "posix" or (
             ctypes.sizeof(ctypes.c_longdouble) != np.dtype(_LD).itemsize):
         return None
     try:
-        fn = ctypes.CDLL(_build_library()).glynn_chunk
+        path = _build_library()
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            lib = ctypes.CDLL(_build_library(rebuild=True))
+        fn = lib.glynn_chunk
     except OSError:
         return None
     fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int64,
@@ -242,8 +249,9 @@ def _compiled_kernel():
     return chunk
 
 
-def _build_library() -> str:
-    """Path of the compiled kernel in the user's cache, compiling on a miss.
+def _build_library(rebuild: bool = False) -> str:
+    """Path of the compiled kernel in the user's cache, compiling on a miss
+    or, with ``rebuild``, over the file already there.
 
     The compiler writes to a temporary name that os.replace then moves into
     place, so a concurrent process never loads a half-written library. Any
@@ -266,7 +274,7 @@ def _build_library() -> str:
     key = hashlib.sha256("\0".join(
         (_C_SOURCE, *_CFLAGS, sysconfig.get_platform())).encode()).hexdigest()
     path = os.path.join(cache, f"glynn-{key[:16]}.so")
-    if os.path.exists(path):
+    if os.path.exists(path) and not rebuild:
         return path
     fd, tmp = tempfile.mkstemp(dir=cache, prefix="glynn-", suffix=".tmp")
     os.close(fd)

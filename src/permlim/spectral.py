@@ -95,8 +95,10 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
         raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
     z, w = gauss_legendre(m)
     s = np.sqrt(w)
-    rho = np.asarray(source(z), dtype=float)
-    return (rho - 1.0) * np.outer(s, s)
+    S = source(z)
+    S -= 1.0
+    S *= np.outer(s, s)
+    return S
 
 
 def fredholm_limit(

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis.extra.numpy import arrays
 import permlim
 from permlim import (BalanceError, BalanceResult, SingularSystemError,
                      balance_diagnostics, balance_fixed_point,
-                     balance_symmetric_scaling, norm_2n, sample_kernel)
+                     balance_symmetric_scaling, compute_Dn, norm_2n,
+                     sample_kernel)
+from permlim.bridge import _BLOCK
 
 COS2_U = np.array([math.sqrt(4.0 - 2.0 * math.sqrt(2.0)),
                    math.sqrt(2.0 - math.sqrt(2.0))])
@@ -152,6 +155,41 @@ def test_fixed_point_properties_near_constant(A, eps):
     assert np.array_equal(res.balanced, res.balanced.T)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)),
+        st.permutations(range(n)))),
+    st.floats(0.0, 0.25))
+def test_balanced_matrix_identities(A_perm, eps):
+    # balanced is formed on demand from u and the kernel; it must carry the
+    # permanent identity and follow a relabelling of the nodes
+    A, perm = A_perm
+    perm = np.array(perm, dtype=int)
+    K = 1.0 + eps * (np.triu(A) + np.triu(A, 1).T)
+    res = balance_fixed_point(K, tol=1e-12)
+    assert compute_Dn(res.balanced).value == pytest.approx(
+        compute_Dn(K).value * float(np.prod(res.u * res.u)), rel=1e-13, abs=0)
+    moved = balance_fixed_point(K[np.ix_(perm, perm)], tol=1e-12)
+    assert np.abs(moved.u - res.u[perm]).max() <= 1e-13
+    assert np.abs(moved.balanced - res.balanced[np.ix_(perm, perm)]).max() \
+        <= 1e-13
+
+
+def test_sample_and_balance_hold_one_kernel_plus_blocks(quad_source):
+    # One n x n kernel plus block rows; whole-grid sampling with a copied
+    # K / n and an eager balanced matrix peaks near three kernels.
+    n = 1024
+    tracemalloc.start()
+    try:
+        K = sample_kernel(quad_source, n)
+        balance_fixed_point(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.entries.nbytes + 4 * _BLOCK * n * 8
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(permlim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -174,6 +212,18 @@ def test_asymmetric_and_negative_rejected():
         balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="nonnegative"):
         balance_fixed_point(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("i,j", [(5, _BLOCK + 7), (299, 297)],
+                         ids=["off-diagonal tile", "trailing partial tile"])
+def test_asymmetry_found_in_any_tile(i, j):
+    K = np.ones((300, 300))
+    K[i, j] += 2e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        balance_fixed_point(K)
+    K[i, j], K[j, i] = 2e-12, 1e-12  # differ by exactly the tolerance
+    res = balance_fixed_point(K)
+    assert np.abs(res.balanced.sum(axis=1) / 300 - 1.0).max() <= 1e-11
 
 
 def test_nonconvergence_reports_iterations(cosine_half):

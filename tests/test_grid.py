@@ -8,6 +8,7 @@ from permlim import (bridge_source, centered_nystrom, constant_source,
                      grid_nodes, load_matrix, norm_2n, norm_inf,
                      riemann_correction_check, riemann_sum, row_defect,
                      sample_kernel, save_matrix, tabulated_source)
+from permlim.bridge import _BLOCK
 from permlim.cost import bilinear_interpolant
 
 
@@ -51,6 +52,25 @@ def _rho_min_max(kind, t, solution):
     return np.ones_like(x)
 
 
+def _full_grid(kind, t, solution):
+    """The unblocked construction: rho on the whole tensor grid at once, then
+    the upper triangle copied over the lower one row at a time."""
+    x, y = t[:, None], t[None, :]
+    if kind == "bridge":
+        a = evaluate_potential(solution, t)
+        rho = np.exp(-solution.cost.evaluator(x, y) - a[:, None] - a[None, :])
+    elif kind == "cosine":
+        c = np.cos(math.pi * t)
+        rho = 1.0 + 2.0 * 0.3 * c[:, None] * c[None, :]
+    elif kind == "tabulated":
+        rho = bilinear_interpolant(TABLE)[0](x, y)
+    else:
+        rho = np.ones((t.size, t.size))
+    for i in range(1, t.size):
+        rho[i, :i] = rho[:i, i]
+    return rho
+
+
 @pytest.mark.parametrize("kind", ["bridge", "cosine", "tabulated", "constant"])
 def test_sampled_matrices_are_rho_of_min_max_bit_for_bit(kind,
                                                          quad_solution_fine):
@@ -58,19 +78,24 @@ def test_sampled_matrices_are_rho_of_min_max_bit_for_bit(kind,
     # Gauss-Legendre nodes of the Nystrom matrix. Unmirrored, the lower
     # triangle would differ in rounding for every kind but the constant (for
     # the cosine only with 2 eps != 1, hence 0.3). perfbench's balance
-    # reference relies on this construction.
+    # reference relies on this construction. The sizes put block edges of
+    # the blocked sampler on every side of n.
     source = {"bridge": bridge_source(quad_solution_fine),
               "cosine": cosine_source(0.3),
               "tabulated": tabulated_source(TABLE),
               "constant": constant_source()}[kind]
-    t = grid_nodes(37)
-    assert np.array_equal(sample_kernel(source, 37).entries,
-                          _rho_min_max(kind, t, quad_solution_fine))
-    z, w = gauss_legendre(64)
-    s = np.sqrt(w)
-    assert np.array_equal(
-        centered_nystrom(source, 64),
-        (_rho_min_max(kind, z, quad_solution_fine) - 1.0) * np.outer(s, s))
+    for n in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 37):
+        t = grid_nodes(n)
+        K = sample_kernel(source, n).entries
+        for ref in (_rho_min_max, _full_grid):
+            assert np.array_equal(K, ref(kind, t, quad_solution_fine)), n
+    for m in (64, 2 * _BLOCK + 3):
+        z, w = gauss_legendre(m)
+        s = np.sqrt(w)
+        S = centered_nystrom(source, m)
+        for ref in (_rho_min_max, _full_grid):
+            rho = ref(kind, z, quad_solution_fine)
+            assert np.array_equal(S, (rho - 1.0) * np.outer(s, s)), m
 
 
 def test_sample_nonpositive_rejected():

@@ -278,6 +278,21 @@ def test_compiled_kernel_is_cached_on_disk(kernel_cache, monkeypatch,
     assert list(kernel_cache.iterdir()) == [library]
 
 
+def test_corrupt_cached_library_is_rebuilt(kernel_cache, monkeypatch,
+                                           cosine_half):
+    if shutil.which(permanent_module._COMPILER) is None:
+        pytest.skip("no C compiler")
+    library = permanent_module._build_library()
+    with open(library, "r+b") as fh:  # a load fails on the truncated file
+        fh.truncate(7)
+    permanent_module._compiled_kernel.cache_clear()
+    _use_kernel("compiled", monkeypatch)
+    K = sample_kernel(cosine_half, 12)
+    assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+    assert os.path.getsize(library) > 7
+    assert [str(p) for p in kernel_cache.iterdir()] == [library]
+
+
 def test_import_and_config_build_nothing(tmp_path):
     """Start-up stays free of the compile: it happens on the first permanent."""
     marker = tmp_path / "compiler-ran"

@@ -211,9 +211,10 @@ def _cosine_sum_source(eps, terms=150):
     nontrivial eigenvalue is eps, so the limit is (1 - eps^2)^(-terms/2)."""
     k = np.arange(1, terms + 1)
 
-    def rho(t):
-        c = np.cos(math.pi * np.outer(t, k))
-        return 1.0 + 2.0 * eps * (c @ c.T)
+    def rho(x, y):
+        cx = np.cos(math.pi * np.outer(x, k))
+        cy = np.cos(math.pi * np.outer(y, k))
+        return 1.0 + 2.0 * eps * (cx @ cy.T)
 
     return DensitySource("synthetic-cosine", rho)
 
