@@ -215,9 +215,11 @@ def _compiled_kernel():
 
     None means the library could not be built or loaded: no compiler, a
     failed or timed-out compile, an unusable cache directory or a failed
-    load. A cached file that fails to load (truncated, say) is compiled
-    once more and replaced before giving up. The result is kept for the
-    life of the process.
+    load. A cached file that fails to load (truncated, say) or lacks the
+    function is compiled once more and replaced before giving up; a
+    library the process already loaded stays loaded under its name, so
+    in the second case only later processes use the rebuilt file. The
+    result is kept for the life of the process.
     """
     if os.name != "posix" or (
             ctypes.sizeof(ctypes.c_longdouble) != np.dtype(_LD).itemsize):
@@ -225,11 +227,10 @@ def _compiled_kernel():
     try:
         path = _build_library()
         try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            lib = ctypes.CDLL(_build_library(rebuild=True))
-        fn = lib.glynn_chunk
-    except OSError:
+            fn = ctypes.CDLL(path).glynn_chunk
+        except (OSError, AttributeError):  # a corrupt or foreign cached file
+            fn = ctypes.CDLL(_build_library(rebuild=True)).glynn_chunk
+    except (OSError, AttributeError):
         return None
     fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int64,
                    ctypes.c_int64, ctypes.c_void_p)

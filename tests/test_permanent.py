@@ -293,6 +293,23 @@ def test_corrupt_cached_library_is_rebuilt(kernel_cache, monkeypatch,
     assert [str(p) for p in kernel_cache.iterdir()] == [library]
 
 
+def test_foreign_cached_library_is_replaced(kernel_cache, cosine_half):
+    # A library that loads but lacks glynn_chunk stays loaded under its name
+    # in this process, which falls back to numpy; the file is rebuilt for
+    # the next process.
+    if shutil.which(permanent_module._COMPILER) is None:
+        pytest.skip("no C compiler")
+    library = permanent_module._build_library()
+    subprocess.run([permanent_module._COMPILER, "-shared", "-fPIC", "-x", "c",
+                    "-", "-o", library], input="int other(void) { return 0; }",
+                   text=True, check=True, capture_output=True)
+    K = sample_kernel(cosine_half, 12)
+    assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+    subprocess.run([sys.executable, "-c", "import ctypes, sys; "
+                    "ctypes.CDLL(sys.argv[1]).glynn_chunk", library],
+                   check=True)
+
+
 def test_import_and_config_build_nothing(tmp_path):
     """Start-up stays free of the compile: it happens on the first permanent."""
     marker = tmp_path / "compiler-ran"
