@@ -175,13 +175,15 @@ def _prepare(K):
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("balance expects a square kernel matrix")
     n = entries.shape[0]
-    if not np.isfinite(entries).all():
+    with np.errstate(invalid="ignore"):  # inf - inf: rejected just below
+        rows = entries.sum(axis=1)
+    # A finite row sum means a finite row; see grid.sample_kernel.
+    if not np.isfinite(rows).all() and not np.isfinite(entries).all():
         raise ValueError("kernel contains non-finite entries")
     if entries.min() < 0.0:
         raise ValueError("kernel entries must be nonnegative")
     if max_asymmetry(entries) > _SYM_TOL:
         raise ValueError("kernel must be symmetric")
-    rows = entries.sum(axis=1)
     if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
     return entries, n, rows / n - 1.0

@@ -32,7 +32,9 @@ from .cost import CostFunction, bilinear_interpolant
 from .errors import ConvergenceError, OverflowGuardError, SmoothnessWarning
 
 _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
-_BLOCK = 128  # rows per sampled block row and side of a symmetry-check tile
+# rows per block row of a sampled density and of the Gibbs matrix of
+# solve_potential, and side of a symmetry-check tile
+_BLOCK = 128
 
 MIN_NODES = 8
 
@@ -120,12 +122,19 @@ def solve_potential(
             SmoothnessWarning, stacklevel=2)
 
     nodes, weights = gauss_legendre(m)
-    with np.errstate(all="ignore"):  # non-finite values are rejected below
-        C = np.asarray(cost.evaluator(nodes[:, None], nodes[None, :]), dtype=float)
-    if not np.isfinite(C).all():
-        raise ValueError("cost evaluates to non-finite values on the grid")
-    G = np.exp(-C)  # c >= 0 so entries lie in (0, 1]
-    c_min, c_max = float(C.min()), float(C.max())
+    G = np.empty((m, m))  # exp(-c), filled _BLOCK rows at a time in place
+    c_min, c_max = math.inf, -math.inf
+    for s in range(0, m, _BLOCK):
+        block = G[s:s + _BLOCK]
+        with np.errstate(all="ignore"):  # non-finite values are rejected below
+            block[...] = cost.evaluator(nodes[s:s + _BLOCK, None],
+                                        nodes[None, :])
+        if not np.isfinite(block).all():
+            raise ValueError("cost evaluates to non-finite values on the grid")
+        c_min = min(c_min, float(block.min()))
+        c_max = max(c_max, float(block.max()))
+        np.negative(block, out=block)
+        np.exp(block, out=block)  # c >= 0 so entries lie in (0, 1]
 
     a = np.zeros(m)
     theta = damping

@@ -6,21 +6,25 @@ step updates a single running vector of column sums. A brute-force sum
 over all n! permutations (n <= 9) is kept as the small-n reference.
 
 The 2^(n-1) terms alternate in sign and cancel almost completely, which
-amplifies rounding: the column sums and the Kahan-compensated sum of the
-signed products run in extended precision (long double). Every row is
-first divided by a power of two near its largest modulus, which is exact
-and keeps one dominant row from swamping the column sums. Against an exact
-big-integer permanent of the same float64 matrix, D_n is within about
-1e-16 relative at n = 12 and 16 on the quadratic bridge; the tests gate it
-at 1e-13.
+amplifies rounding. Every row is first divided by a power of two near its
+largest modulus, which is exact and keeps one dominant row from swamping
+the column sums. Each column sum is then kept as a double-double pair
+(hi, lo), about 106 bits, with the arithmetic of Hida, Li and Bailey; each
+product is formed from hi + lo in extended precision (long double), and
+the signed products are added with Kahan compensation, also in long
+double. Against an exact big-integer permanent of the same float64 matrix,
+D_n is within about 1e-16 relative at n = 12 and 16 on the quadratic
+bridge, and against the closed form of the rank-two cosine kernel within
+about 7e-17 at n = 20 to 24; the tests gate them at 1e-13 and 1e-14.
 
 The Gray-code loop is a small C function, compiled with the system's
 ``cc`` on the first permanent of a process (never at import), cached in
 ``$XDG_CACHE_HOME/permlim`` or ``~/.cache/permlim`` under a name hashed
 from its source, flags and platform, and called through ctypes, which
 releases the GIL, so worker threads run granules in parallel. When no
-library can be built or loaded, the same loop runs in numpy, about six
-times slower per term; there is no setting that chooses between the two.
+library can be built or loaded, the same loop runs in numpy with long
+double column sums, 10 to 20 times slower per term; there is no setting
+that chooses between the two.
 """
 
 from __future__ import annotations
@@ -47,45 +51,72 @@ _GRANULE = 1 << 18  # work unit; fixed so results do not depend on workers
 _BRUTE_MAX = 9
 
 DEFAULT_CAP = 26
-# The compiled loop takes 150-190 ns per term on one core at n = 22-26, so
-# n = 26 takes about 6 s, n = 28 about 30 s, and each further n doubles
-# that; the numpy fallback takes about 900 ns per term.
+# The compiled loop takes 35-60 ns per term on one core at n = 22-26 (2.1
+# GHz, AVX2), so n = 26 takes about 2 s, n = 28 about 8 s, and each further
+# n doubles that; the numpy fallback takes 620-760 ns per term.
 _WARN_ABOVE = DEFAULT_CAP
-_NS_PER_TERM = 200
+_NS_PER_TERM = 60
 
 _COMPILER = "cc"
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 60
 
 # Glynn terms for Gray-code steps k in (k_start, k_end]; the same loop as
-# _glynn_chunk, with one Kahan-compensated sum over the whole granule.
+# _glynn_chunk, with one Kahan-compensated sum over the whole granule. Each
+# column sum is a double-double pair (hi, lo); a step adds a precomputed
+# +-2 row, exact in float64, so the loop over columns is element-wise IEEE
+# adds that -O3 vectorises (-ffp-contract=off keeps TwoSum from becoming
+# FMAs); on x86-64 the AVX2 clone and the default one give the same bits.
 _C_SOURCE = r"""
 #include <stdint.h>
 
-void glynn_chunk(const long double *rows, int n, int64_t k_start,
+/* (hi, lo) += b: Knuth's TwoSum, then a fast renormalisation. */
+static inline void dd_add(double *hi, double *lo, double b)
+{
+    double s = *hi + b, bb = s - *hi;
+    double e = (*hi - (s - bb)) + (b - bb) + *lo;
+    *hi = s + e;
+    *lo = e - (*hi - s);
+}
+
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+__attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+void glynn_chunk(const double *rows, int n, int64_t k_start,
                  int64_t k_end, long double *out)
 {
-    long double cols[n], total = 0.0L, comp = 0.0L;
+    /* steps[(2 (i - 1) + s) n + j] = (s ? -2 : 2) rows[i n + j], i >= 1 */
+    double hi[n], lo[n], steps[2 * n * n];
+    long double total = 0.0L, comp = 0.0L;
     int64_t g = k_start ^ (k_start >> 1);
     int odd = 0;
-    for (int j = 0; j < n; j++)
-        cols[j] = rows[j];
+    for (int i = 1; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            steps[2 * (i - 1) * n + j] = 2.0 * rows[i * n + j];
+            steps[(2 * i - 1) * n + j] = -2.0 * rows[i * n + j];
+        }
+    for (int j = 0; j < n; j++) {
+        hi[j] = rows[j];
+        lo[j] = 0.0;
+    }
     for (int i = 1; i < n; i++) {
         int minus = (int)((g >> (i - 1)) & 1);
         odd ^= minus;
         for (int j = 0; j < n; j++)
-            cols[j] += minus ? -rows[i * n + j] : rows[i * n + j];
+            dd_add(&hi[j], &lo[j], minus ? -rows[i * n + j] : rows[i * n + j]);
     }
     for (int64_t k = k_start + 1; k <= k_end; k++) {
         int pos = __builtin_ctzll((unsigned long long)k);
-        const long double *row = rows + (pos + 1) * n;
-        long double step = (((k ^ (k >> 1)) >> pos) & 1) ? -2.0L : 2.0L;
+        int minus = (int)(((k ^ (k >> 1)) >> pos) & 1);
+        const double *step = steps + (2 * pos + minus) * n;
         long double prod = 1.0L;
         odd ^= 1;
-        for (int j = 0; j < n; j++) {
-            cols[j] += step * row[j];
-            prod *= cols[j];
-        }
+        for (int j = 0; j < n; j++)
+            dd_add(&hi[j], &lo[j], step[j]);
+        for (int j = 0; j < n; j++)
+            prod *= (long double)hi[j] + lo[j];
         long double y = (odd ? -prod : prod) - comp;
         long double t = total + y;
         comp = (t - total) - y;
@@ -178,11 +209,14 @@ def _permanent(M, workers, divisor=1) -> float:
         warnings.warn(
             f"permanent at n={n} evaluates 2^{n - 1} terms: expect about "
             f"{terms * _NS_PER_TERM * 1e-9 / workers:.0f} s at workers={workers}, "
-            "several times more without a C compiler",
+            "10 to 20 times more without a C compiler",
             RuntimeBudgetWarning, stacklevel=3)
     _, exps = np.frexp(np.abs(M).max(axis=1))  # a zero row keeps e = 0
-    rows = np.ascontiguousarray(np.ldexp(M, -exps[:, None]), dtype=_LD)
-    chunk = _compiled_kernel() or _glynn_chunk
+    rows = np.ascontiguousarray(np.ldexp(M, -exps[:, None]))  # exact
+    chunk = _compiled_kernel()
+    if chunk is None:
+        chunk = _glynn_chunk
+        rows = rows.astype(_LD)
 
     # per(M) = 2^(1-n) sum over delta in {+-1}^n, delta_1 = +1, of
     # prod_k delta_k * prod_j sum_i delta_i M_ij (Glynn). The sum is cut at
@@ -211,7 +245,8 @@ def _permanent(M, workers, divisor=1) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _compiled_kernel():
-    """The C loop with the signature of :func:`_glynn_chunk`, or None.
+    """The C loop with the signature of :func:`_glynn_chunk` but on float64
+    rows, or None.
 
     None means the library could not be built or loaded: no compiler, a
     failed or timed-out compile, an unusable cache directory or a failed
@@ -237,7 +272,7 @@ def _compiled_kernel():
     fn.restype = None
 
     def chunk(rows, n, k_start, k_end):
-        if (rows.dtype != _LD or rows.shape != (n, n)
+        if (rows.dtype != np.float64 or rows.shape != (n, n)
                 or not rows.flags.c_contiguous
                 or not 0 <= k_start <= k_end < 1 << (n - 1)):
             raise ValueError("glynn_chunk: bad rows or term range")

@@ -16,6 +16,7 @@ from permlim import (BalanceError, BalanceResult, SingularSystemError,
                      balance_symmetric_scaling, compute_Dn, norm_2n,
                      sample_kernel)
 from permlim.bridge import _BLOCK
+from test_grid import _NON_FINITE, _planted
 
 COS2_U = np.array([math.sqrt(4.0 - 2.0 * math.sqrt(2.0)),
                    math.sqrt(2.0 - math.sqrt(2.0))])
@@ -213,6 +214,21 @@ def test_asymmetric_and_negative_rejected():
         balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="nonnegative"):
         balance_fixed_point(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("pair", _NON_FINITE.values(), ids=_NON_FINITE)
+def test_non_finite_rejected(pair):
+    with pytest.raises(ValueError, match="^kernel contains non-finite entries$"):
+        balance_fixed_point(_planted(pair))
+
+
+def test_near_overflow_kernel_passes_the_finiteness_check():
+    # finite entries whose row sums overflow reach the later checks
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            balance_fixed_point(_planted((-1.0, 1e308), 1e308))
+        with pytest.raises(BalanceError, match="did not reach"):
+            balance_fixed_point(np.full((4, 4), 1e308))
 
 
 @pytest.mark.parametrize("i,j", [(5, _BLOCK + 7), (299, 297)],

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from permlim import (ConvergenceError, OverflowGuardError, PotentialSolution,
-                     SmoothnessWarning, absolute_cost, bridge_source,
+from permlim import (ConvergenceError, CostFunction, OverflowGuardError,
+                     PotentialSolution, SmoothnessWarning, absolute_cost, bridge_source,
                      constant_source, cosine_source, evaluate_potential,
                      expression_cost, gamma0, gauss_legendre,
                      grid_nodes, marginal_residual, quadratic_cost,
@@ -126,6 +127,28 @@ def test_overflow_guard_in_marginal_residual():
 def test_overflow_guard_in_bridge_source():
     with pytest.raises(OverflowGuardError, match="exponent range"):
         sample_kernel(bridge_source(_hand_built(-400.0)), 4)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_cost_in_last_block_rejected(bad):
+    # only the nodes above 0.99 (the last of three 128-row blocks at m = 300)
+    cost = CostFunction("custom-expression", (),
+                        lambda x, y: np.where(x > 0.99, bad, (x - y) ** 2))
+    with pytest.raises(ValueError, match="non-finite values on the grid"):
+        solve_potential(cost, m=300)
+
+
+def test_potential_solve_holds_one_gibbs_matrix():
+    # The Gibbs matrix is filled in place block row by block row: 1.16 m^2
+    # doubles at the peak, against 3.0 with whole-matrix C, -C and exp(-C).
+    m = 1600
+    tracemalloc.start()
+    try:
+        solve_potential(quadratic_cost(1.52), m=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * m * m * 8
 
 
 def test_solver_argument_checks(quad_cost):

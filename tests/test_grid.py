@@ -103,6 +103,33 @@ def test_sample_nonpositive_rejected():
         sample_kernel(cosine_source(0.999), 8)
 
 
+_NON_FINITE = {"nan": (np.nan, 1.0), "+inf": (np.inf, 1.0),
+               "-inf": (-np.inf, 1.0), "+inf and -inf": (np.inf, -np.inf)}
+
+
+def _planted(pair, base=1.0):
+    """A symmetric 4 x 4 matrix of base with pair[0] at (0, 3) and pair[1]
+    at (0, 2), mirrored: row 0 holds both."""
+    M = np.full((4, 4), base)
+    M[0, 3] = M[3, 0] = pair[0]
+    M[0, 2] = M[2, 0] = pair[1]
+    return M
+
+
+@pytest.mark.parametrize("pair", _NON_FINITE.values(), ids=_NON_FINITE)
+def test_sample_non_finite_rejected(pair):
+    with pytest.raises(ValueError, match="^density evaluates to non-finite"):
+        sample_kernel(lambda t: _planted(pair), 4)
+
+
+def test_sample_near_overflow_kernel_is_finite():
+    # every row sum overflows, yet every entry is finite
+    K = sample_kernel(lambda t: np.full((4, 4), 1e308), 4)
+    assert np.all(K.entries == 1e308)
+    with pytest.raises(ValueError, match="strictly positive"):
+        sample_kernel(lambda t: _planted((0.0, 1e308), 1e308), 4)
+
+
 def test_kernel_matrix_immutable(const_source):
     K = sample_kernel(const_source, 3)
     with pytest.raises(ValueError):

@@ -13,10 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 import permlim.permanent as permanent_module
 from permlim import (CapExceededError, RunConfig, RuntimeBudgetWarning,
-                     balance_fixed_point, bridge_source, compute_Dn, gamma0,
-                     grid_nodes, permanent_brute, permanent_exact,
-                     quadratic_cost, run_converge, sample_kernel,
-                     solve_potential)
+                     balance_fixed_point, bridge_source, compute_Dn,
+                     cosine_source, gamma0, grid_nodes, permanent_brute,
+                     permanent_exact, quadratic_cost, run_converge,
+                     sample_kernel, solve_potential)
 
 ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
@@ -225,6 +225,27 @@ def test_compute_Dn_matches_exact_permanent(n, kernel, cosine_half,
         assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
 
 
+def test_compiled_matches_numpy_across_granules(cosine_half, quad_source,
+                                                monkeypatch):
+    n = 20
+    assert (1 << (n - 1)) - 1 > permanent_module._GRANULE  # two granules
+    kernels = [sample_kernel(source, n) for source in (cosine_half, quad_source)]
+    _use_kernel("compiled", monkeypatch)
+    compiled = [compute_Dn(K).value for K in kernels]
+    monkeypatch.undo()
+    _use_kernel("numpy", monkeypatch)
+    for K, value in zip(kernels, compiled):
+        assert abs(value / compute_Dn(K).value - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.45])
+@pytest.mark.parametrize("n", [20, 22, 24])
+def test_compute_Dn_matches_rank_two_cosine(n, eps):
+    exact = _cosine_Dn(n, eps)
+    value = compute_Dn(sample_kernel(cosine_source(eps), n)).value
+    assert abs(np.longdouble(value) - exact) / exact <= 1e-14
+
+
 _FAKE_COMPILERS = {
     "missing": None,
     "fails": "#!/bin/sh\nexit 1\n",
@@ -385,6 +406,37 @@ def _exact_Dn(A):
         term = math.prod(sums)
         total += term if (n - size) % 2 == 0 else -term
     return Fraction(total, math.factorial(n) << shift)
+
+
+def _cosine_Dn(n, eps):
+    """D_n of the rank-two kernel 1 + 2 eps c_i c_j, c_i = cos(pi i/n), in
+    long double, from D_n = sum_k (2 eps)^k E_k(c)^2 / C(n, k), where E_k
+    is the k-th elementary symmetric polynomial.
+
+    The nodes pair up, c_(n-i) = -c_i, with c_(n/2) = 0 for even n and
+    c_n = -1, so prod_i (1 + c_i x) = (1 - x) prod_(i <= p) (1 - c_i^2 x^2)
+    with p = (n - 1) // 2, and |E_k(c)| = e_(k//2)(c_1^2, ..., c_p^2) for
+    k <= 2p + 1 (E_k = 0 above): a sum of positive terms, free of
+    cancellation. C(n, k) <= C(24, 12) is an exact integer here.
+    """
+    ld = np.longdouble
+    p = (n - 1) // 2
+    squares = np.cos(4 * np.arctan(ld(1)) * np.arange(1, p + 1, dtype=ld)
+                     / n) ** 2
+    e = [ld(1)] + [ld(0)] * p  # e[m] = e_m of the squares seen so far
+    for a in squares:
+        for m in range(p, 0, -1):
+            e[m] += a * e[m - 1]
+    return sum((2 * ld(eps)) ** k * e[k // 2] ** 2 / ld(math.comb(n, k))
+               for k in range(2 * p + 2))
+
+
+def test_cosine_oracle_matches_exact_permanent():
+    for eps in (0.3, 0.45):
+        for n in range(1, 13):
+            K = sample_kernel(cosine_source(eps), n)
+            assert _rel_err(float(_cosine_Dn(n, eps)),
+                            _exact_Dn(K.entries)) <= 1e-14
 
 
 def test_exact_oracle_matches_brute_force():
