@@ -224,11 +224,9 @@ def test_non_finite_rejected(pair):
 
 def test_near_overflow_kernel_passes_the_finiteness_check():
     # finite entries whose row sums overflow reach the later checks
-    with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="nonnegative"):
-            balance_fixed_point(_planted((-1.0, 1e308), 1e308))
-        with pytest.raises(BalanceError, match="did not reach"):
-            balance_fixed_point(np.full((4, 4), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="nonnegative"):
+        balance_fixed_point(_planted((-1.0, 1e308), 1e308))
 
 
 @pytest.mark.parametrize("i,j", [(5, _BLOCK + 7), (299, 297)],

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from permlim import (ConvergenceError, CostFunction, OverflowGuardError,
-                     PotentialSolution, SmoothnessWarning, absolute_cost, bridge_source,
-                     constant_source, cosine_source, evaluate_potential,
-                     expression_cost, gamma0, gauss_legendre,
-                     grid_nodes, marginal_residual, quadratic_cost,
-                     sample_kernel, solve_potential, tabulated_source)
+                     PotentialSolution, SmoothnessWarning, absolute_cost,
+                     bridge_source, constant_source, cosine_source,
+                     evaluate_potential, expression_cost, gamma0,
+                     gauss_legendre, grid_nodes, marginal_residual,
+                     quadratic_cost, sample_kernel, solve_potential,
+                     tabulated_source)
 
 ZERO_COST = quadratic_cost(0.0)
 GAMMA0_QUADRATIC = 0.1529210810610881  # beta = 1 continuum value
