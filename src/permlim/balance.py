@@ -6,10 +6,10 @@ defect, the perturbation h with u = 1 + h balances the kernel when
     (I + R) h = -q - h*q - h*(R h)      (* = entrywise product)
 
 because the left-over F(h) = (I + R)h + q + h*q + h*(R h) is exactly the
-row-sum deviation u * (R u) - 1 of the rescaled matrix. Two independent
-methods are provided: a fixed-point iteration on that equation (the object
-of study) and a plain symmetric scaling iteration (the oracle the first is
-checked against).
+row-sum deviation u * (R u) - 1 of the rescaled matrix. The solver is a
+fixed-point iteration on that equation. A positive kernel has exactly one
+positive u with u * (R u) = 1 (Sinkhorn, 1964; Knight, 2008), so that
+identity, not a second solver, is what checks the answer.
 
 The fixed point needs (I + R) to be invertible; under the spectral gap it
 is symmetric positive definite, so every solve with it is a matrix-free
@@ -50,8 +50,8 @@ class BalanceResult:
     demand, as a new array on every access, so the result itself holds no
     second n x n array; dividing it by n gives the doubly stochastic
     matrix whose permanent the limit theory studies. ``residual`` is the
-    stopping-rule value: the normalised 2-norm of F(h) for the fixed-point
-    method, the sup norm of u*(R u) - 1 for scaling.
+    stopping-rule value norm_2n(F(h)), the normalised 2-norm of the row-sum
+    deviation u*(R u) - 1.
     """
 
     n: int
@@ -104,7 +104,10 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
     ball around 0, and outside it log(1 + h_i) may stop being defined.
     """
     entries, n, q = _prepare(K)
-    _check_positive(tol, max_iter)
+    if not tol > 0:  # also rejects nan
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     _solve(entries, np.random.default_rng(0).standard_normal(n), _CHECK_STEPS)
 
     h = np.zeros(n)
@@ -124,32 +127,6 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
                 residual=residual, iterations=it)
     raise BalanceError(
         f"fixed point did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {residual:.3e})", residual=residual, iterations=max_iter)
-
-
-def balance_symmetric_scaling(K, tol: float = 1e-12,
-                              max_iter: int = 100000) -> BalanceResult:
-    """Balance by the damped scaling u <- sqrt(u / (R u)) from u = 1.
-
-    The geometric-mean update is the classical symmetric analogue of
-    alternating row/column scaling; it serves as an independent check on
-    the fixed-point solver. Stops when max |u_i (R u)_i - 1| <= tol.
-    """
-    entries, n, _ = _prepare(K)
-    _check_positive(tol, max_iter)
-    u = np.ones(n)
-    for it in range(1, max_iter + 1):
-        Ru = entries @ u / n
-        if Ru.min() <= 0.0:
-            raise BalanceError(
-                "scaling produced a nonpositive row image; the kernel has an "
-                "effectively zero row", iterations=it)
-        u = np.sqrt(u / Ru)
-        residual = norm_inf(u * (entries @ u / n) - 1.0)
-        if residual <= tol:
-            return BalanceResult(n, u - 1.0, u, entries, it, residual)
-    raise BalanceError(
-        f"symmetric scaling did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {residual:.3e})", residual=residual, iterations=max_iter)
 
 
@@ -175,15 +152,19 @@ def _prepare(K):
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("balance expects a square kernel matrix")
     n = entries.shape[0]
-    with np.errstate(invalid="ignore"):  # inf - inf: rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
         rows = entries.sum(axis=1)
     # A finite row sum means a finite row; see grid.sample_kernel.
-    if not np.isfinite(rows).all() and not np.isfinite(entries).all():
+    finite_rows = bool(np.isfinite(rows).all())
+    if not finite_rows and not np.isfinite(entries).all():
         raise ValueError("kernel contains non-finite entries")
     if entries.min() < 0.0:
         raise ValueError("kernel entries must be nonnegative")
     if max_asymmetry(entries) > _SYM_TOL:
         raise ValueError("kernel must be symmetric")
+    if not finite_rows:
+        raise ValueError("kernel row sums overflow double precision; "
+                         "rescale the kernel")
     if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
     return entries, n, rows / n - 1.0
@@ -216,11 +197,4 @@ def _solve(K, b, max_steps):
         rr, rr_old = float(r @ r), rr
         p = r + (rr / rr_old) * p
     return x
-
-
-def _check_positive(tol, max_iter):
-    if not tol > 0:  # also rejects nan
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 

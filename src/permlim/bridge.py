@@ -13,10 +13,9 @@ which solves nothing for a nonconstant cost).
 
 The solver discretises the integral by the m-point Gauss-Legendre rule of
 :func:`gauss_legendre` and runs a damped fixed-point iteration in log space.
-The same rule serves ``gamma0``, the marginal residual, the off-node
-extension of the potential and the Nystrom matrix of
-:mod:`permlim.spectral`; for a smooth cost every one of them converges
-exponentially in m.
+The same rule serves ``gamma0``, the off-node extension of the potential
+and the Nystrom matrix of :mod:`permlim.spectral`; for a smooth cost every
+one of them converges exponentially in m.
 """
 
 from __future__ import annotations
@@ -183,26 +182,6 @@ def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:
 def gamma0(solution: PotentialSolution) -> float:
     """Gauss-Legendre value of -2 integral_0^1 a(x) dx."""
     return -2.0 * math.fsum(solution.weights * solution.a_values)
-
-
-def marginal_residual(solution: PotentialSolution,
-                      cost: CostFunction | None = None) -> float:
-    """Recomputed marginal defect max_i |sum_j w_j rho(x_i, y_j) - 1|.
-
-    Recomputing (rather than reporting the solver's last residual) keeps
-    the function honest on perturbed or hand-built solutions: shifting a
-    converged potential by any constant visibly breaks the marginals.
-    """
-    if cost is None:
-        cost = solution.cost
-    a = solution.a_values
-    C = np.asarray(
-        cost.evaluator(solution.nodes[:, None], solution.nodes[None, :]),
-        dtype=float)
-    _guard_range("density", -float(C.max()) - 2.0 * float(a.max()),
-                 -float(C.min()) - 2.0 * float(a.min()))
-    rho = np.exp(-C - a[:, None] - a[None, :])
-    return float(np.abs(rho @ solution.weights - 1.0).max())
 
 
 @dataclass(frozen=True)

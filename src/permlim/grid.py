@@ -1,4 +1,4 @@
-"""Right-endpoint grid sampling of densities and Riemann-sum diagnostics.
+"""Right-endpoint grid sampling of densities and the Riemann-sum check.
 
 A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
 i, j = 1..n, the right endpoints of the uniform partition of [0,1]. The
@@ -6,9 +6,8 @@ density source fills K from the node vector i/n block row by block row,
 exactly symmetric by construction and with no n x n temporary; sampling
 checks it for finiteness and positivity and averages nothing. Every later
 stage (balancing, permanents, spectra) consumes these matrices. The
-normalised kernel K/n has row sums close to 1; the row-defect vector
-measures how close, and the Riemann-sum helpers quantify why the defect
-decays at the rate it does.
+normalised kernel K/n has row sums close to 1, up to the right-endpoint
+Riemann-sum error that :func:`riemann_correction_check` measures.
 """
 
 from __future__ import annotations
@@ -47,17 +46,6 @@ class KernelMatrix:
         self.entries.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class DefectVector:
-    """Row-sum deviation q_i = (1/n) sum_j K[i, j] - 1 with its norms."""
-
-    n: int
-    q: np.ndarray
-    q_bar: float
-    norm_inf: float
-    norm_2n: float
-
-
 def grid_nodes(n: int) -> np.ndarray:
     """The right endpoints i/n for i = 1..n."""
     if n < 1:
@@ -87,30 +75,6 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
         raise ValueError(
             f"sampled kernel must be strictly positive; min entry {K.min():.3e}")
     return KernelMatrix(n, K)
-
-
-def row_defect(K: KernelMatrix) -> DefectVector:
-    """Row-sum defect of the normalised kernel.
-
-    For a doubly stochastic density the defect is pure discretisation
-    error: its sup norm decays like 1/n and its mean like 1/n^2.
-    """
-    entries = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, float)
-    n = entries.shape[0]
-    q = entries.sum(axis=1) / n - 1.0
-    return DefectVector(n, q, float(np.mean(q)), norm_inf(q), norm_2n(q))
-
-
-def riemann_sum(f_values) -> float:
-    """Right-endpoint Riemann sum (1/n) sum f(i/n) from the sampled values.
-
-    Computed as f_values[0] + mean(f_values - f_values[0]) so a constant
-    input returns that constant exactly, not merely to rounding.
-    """
-    v = np.asarray(f_values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("f_values must be a nonempty vector")
-    return float(v[0] + math.fsum(v - v[0]) / v.size)
 
 
 @dataclass(frozen=True)

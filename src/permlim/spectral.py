@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import DensitySource, gauss_legendre
+from .bridge import DensitySource, gauss_legendre, max_asymmetry
 from .errors import RefinementWarning, SpectralGapError, SpectralGapWarning
 
 _ASYM_TOL = 1e-10
@@ -76,7 +76,7 @@ def mccullagh_estimate(A) -> float:
     if dev > _ASYM_TOL:
         raise ValueError(
             f"matrix is not doubly stochastic (row/column sum deviation {dev:.3e})")
-    asym = float(np.abs(A - A.T).max())
+    asym = max_asymmetry(A)
     if asym > _ASYM_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {_ASYM_TOL:g}")
     return _centered_determinant(A - 1.0 / A.shape[0])[0]

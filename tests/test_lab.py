@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import permlim
 import permlim.lab as lab_module
 from permlim import (BalanceError, ConfigError, RunConfig, SpectralGapWarning,
                      fit_rate, load_config, load_matrix, run_balance_study,
@@ -54,6 +55,41 @@ beta = 2.5
     assert cfg.n_list is None
     assert cfg.csv_path is None
     assert cfg.eigen_dump is False
+
+
+def test_public_surface_read_by_perfbench(tmp_path):
+    # perfbench/ reads exactly these names and fields; a change that drops
+    # one fails here before it turns benchmark runs into failures
+    cfg = permlim.load_config(_write_config(tmp_path / "c.ini", f"""
+[cost]
+family = quadratic
+beta = 1.0
+
+[bridge]
+m = 32
+
+[study]
+n_list = 4
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+"""))
+    solution = permlim.solve_potential(
+        cfg.cost, m=cfg.bridge_m, tol=cfg.bridge_tol,
+        max_iter=cfg.bridge_max_iter, damping=cfg.bridge_damping)
+    t = permlim.grid_nodes(cfg.n_list[0])
+    assert permlim.evaluate_potential(solution, t).shape == t.shape
+    assert np.asarray(cfg.cost(t[:, None], t[None, :])).shape == (4, 4)
+    assert math.isfinite(permlim.gamma0(solution))
+    K = permlim.sample_kernel(permlim.bridge_source(solution), 4)
+    assert type(K.entries) is np.ndarray and not K.entries.flags.writeable
+    res = permlim.balance_fixed_point(K, tol=cfg.balance_tol,
+                                      max_iter=cfg.balance_max_iter)
+    assert res.u.shape == (4,) and res.balanced.shape == (4, 4)
+    assert res.iterations >= 1
+    value = permlim.permanent_brute(np.ones((3, 3)))
+    assert (value.n, value.value) == (3, 6.0)
+    assert cfg.workers >= 1 and cfg.csv_path.endswith("o.csv")
 
 
 def test_load_config_full_roundtrip(tmp_path):
@@ -470,6 +506,27 @@ csv_path = {tmp_path / "o.csv"}
     assert [w.category for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "non-finite" in err[0]
+
+
+def test_cli_overflowing_kernel_table_maps_to_validation_code(tmp_path,
+                                                             capsys):
+    save_matrix(tmp_path / "k.txt", np.full((3, 3), 1e308))
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[kernel]
+kind = tabulated
+path = k.txt
+
+[study]
+n_list = 2
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["balance-study", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "row sums overflow" in err[0]
 
 
 def test_cli_asymmetric_kernel_table_maps_to_config_code(tmp_path, capsys):
