@@ -12,8 +12,7 @@ finite-n determinant estimate along the way (:mod:`permlim.spectral`).
 ``permlim`` command line.
 """
 
-from .balance import (BalanceDiagnostics, BalanceResult, balance_diagnostics,
-                      balance_fixed_point)
+from .balance import BalanceResult, balance_fixed_point
 from .bridge import (DensitySource, PotentialSolution, bridge_source,
                      constant_source, cosine_source, evaluate_potential,
                      gamma0, gauss_legendre, solve_potential,
@@ -32,8 +31,7 @@ from .grid import (KernelMatrix, RiemannReport, grid_nodes, load_matrix,
 from .lab import (BalanceStudyRecord, ConvergenceRecord, RunConfig, fit_rate,
                   load_config, run_balance_study, run_converge,
                   run_solve_bridge, run_validate_cost)
-from .permanent import (PermanentValue, compute_Dn, permanent_brute,
-                        permanent_exact)
+from .permanent import PermanentValue, compute_Dn, permanent_brute
 from .spectral import (SpectrumReport, centered_nystrom, fredholm_limit,
                        mccullagh_estimate)
 

@@ -20,8 +20,9 @@ up-front singularity check.
 R is never formed: every product with it is the matvec (K @ v) / n on the
 caller's read-only entries, the row sums of K give q, symmetry is checked
 over tiles of the upper triangle, and the balanced matrix is formed only
-when it is read. Beyond the kernel itself, balancing allocates vectors
-and small tiles, not n x n arrays.
+when it is read, as are the size measures of h that the studies report.
+Beyond the kernel itself, balancing allocates vectors and small tiles,
+not n x n arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bridge import max_asymmetry
 from .errors import BalanceError, SingularSystemError
-from .grid import KernelMatrix, norm_2n, norm_inf
+from .grid import norm_2n, norm_inf
 
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
 _SYM_TOL = 1e-12
@@ -52,6 +53,11 @@ class BalanceResult:
     matrix whose permanent the limit theory studies. ``residual`` is the
     stopping-rule value norm_2n(F(h)), the normalised 2-norm of the row-sum
     deviation u*(R u) - 1.
+
+    The size measures of h are computed on access too. Across grid sizes
+    they scale as norm_2n_h = O(1/n), norm_inf_h = O(n^-1/2),
+    sum_log = O(1/n) and m_n = O(n^-2); prod_u_sq = exp(2 sum_log) by
+    definition.
     """
 
     n: int
@@ -65,21 +71,27 @@ class BalanceResult:
     def balanced(self) -> np.ndarray:
         return self.kernel * np.outer(self.u, self.u)
 
+    @property
+    def norm_2n_h(self) -> float:
+        return norm_2n(self.h)
 
-@dataclass(frozen=True)
-class BalanceDiagnostics:
-    """Size measures of the perturbation h.
+    @property
+    def norm_inf_h(self) -> float:
+        return norm_inf(self.h)
 
-    Across grid sizes these scale as norm_2n_h = O(1/n),
-    norm_inf_h = O(n^-1/2), sum_log = O(1/n) and m_n = O(n^-2);
-    prod_u_sq = exp(2 sum_log) by definition.
-    """
+    @property
+    def sum_log(self) -> float:
+        """sum_i log(u_i), the log of the scaling's product."""
+        return math.fsum(np.log1p(self.h))
 
-    norm_2n_h: float
-    norm_inf_h: float
-    sum_log: float
-    m_n: float
-    prod_u_sq: float
+    @property
+    def m_n(self) -> float:
+        """The mean of h."""
+        return math.fsum(self.h) / self.n
+
+    @property
+    def prod_u_sq(self) -> float:
+        return float(np.prod(self.u * self.u))
 
 
 def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceResult:
@@ -130,22 +142,9 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
         f"(last residual {residual:.3e})", residual=residual, iterations=max_iter)
 
 
-def balance_diagnostics(res: BalanceResult) -> BalanceDiagnostics:
-    """Norms, log sum, mean and squared scaling product of the perturbation."""
-    h = res.h
-    sum_log = math.fsum(np.log1p(h))
-    return BalanceDiagnostics(
-        norm_2n_h=norm_2n(h),
-        norm_inf_h=norm_inf(h),
-        sum_log=sum_log,
-        m_n=math.fsum(h) / res.n,
-        prod_u_sq=float(np.prod(res.u * res.u)),
-    )
-
-
 def _prepare(K):
     """The read-only kernel entries, n, and the row-sum defect q of K / n."""
-    entries = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    entries = np.asarray(K, dtype=float)  # a sampled kernel gives its entries
     if entries.flags.writeable:  # the result reads them again for balanced
         entries = entries.copy()
         entries.setflags(write=False)

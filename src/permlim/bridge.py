@@ -284,14 +284,15 @@ def tabulated_source(values: np.ndarray) -> DensitySource:
 
 def max_asymmetry(M: np.ndarray) -> float:
     """max |M[i, j] - M[j, i]| of a square matrix, over _BLOCK x _BLOCK
-    tiles of the upper triangle, so no n x n temporary is made."""
+    tiles of the upper triangle, so no n x n temporary is made; nan when
+    any entry is nan."""
     n = M.shape[0]
     worst = 0.0
     for s in range(0, n, _BLOCK):
         for t in range(s, n, _BLOCK):
             tile = np.abs(M[s:s + _BLOCK, t:t + _BLOCK]
                           - M[t:t + _BLOCK, s:s + _BLOCK].T)
-            worst = max(worst, float(tile.max()))
+            worst = float(np.maximum(worst, tile.max()))  # keeps a nan
     return worst
 
 

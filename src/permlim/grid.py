@@ -4,8 +4,10 @@ A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
 i, j = 1..n, the right endpoints of the uniform partition of [0,1]. The
 density source fills K from the node vector i/n block row by block row,
 exactly symmetric by construction and with no n x n temporary; sampling
-checks it for finiteness and positivity and averages nothing. Every later
-stage (balancing, permanents, spectra) consumes these matrices. The
+checks it for finiteness and positivity and averages nothing. The result,
+a :class:`KernelMatrix`, converts to its read-only entries without a copy,
+so every later stage (balancing, permanents, spectra) reads it as a plain
+array and only this module names the class. The
 normalised kernel K/n has row sums close to 1, up to the right-endpoint
 Riemann-sum error that :func:`riemann_correction_check` measures.
 """
@@ -33,17 +35,20 @@ def norm_inf(v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Samples rho(i/n, j/n); ``entries / n`` is the normalised kernel."""
+    """Samples rho(i/n, j/n); ``entries / n`` is the normalised kernel.
 
-    n: int
+    It is array-like: ``np.asarray(K)`` returns the read-only ``entries``
+    themselves, so every later stage takes it as a plain array.
+    """
+
     entries: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match n={self.n}")
-        self.entries.setflags(write=False)
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def grid_nodes(n: int) -> np.ndarray:
@@ -63,8 +68,6 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
     """
     with np.errstate(all="ignore"):  # non-finite values are rejected below
         K = np.asarray(source(grid_nodes(n)), dtype=float)
-    if K.shape != (n, n):
-        raise ValueError(f"density returned shape {K.shape}, expected {(n, n)}")
     with np.errstate(all="ignore"):
         rows = K.sum(axis=1)
     # A finite row sum means a finite row, so only a kernel with an infinite
@@ -74,7 +77,8 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
     if K.min() <= 0.0:
         raise ValueError(
             f"sampled kernel must be strictly positive; min entry {K.min():.3e}")
-    return KernelMatrix(n, K)
+    K.setflags(write=False)
+    return KernelMatrix(K)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def save_matrix(path, K) -> None:
 
     Values are written with repr so a load round-trip is bit exact.
     """
-    entries = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, float)
+    entries = np.asarray(K, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("save_matrix expects a square matrix")
     with open(path, "w") as fh:

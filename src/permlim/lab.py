@@ -316,17 +316,17 @@ def _study_rows(config: RunConfig, record_type, make_row) -> list:
 
 
 def _balanced_kernel(config: RunConfig, source, n):
-    """Sample the n x n kernel, balance it (timed) and diagnose the result."""
+    """Sample the n x n kernel and balance it (timed)."""
     K = grid_mod.sample_kernel(source, n)
     t0 = time.perf_counter()
     res = balance_mod.balance_fixed_point(
         K, tol=config.balance_tol, max_iter=config.balance_max_iter)
     wall_ms = 1e3 * (time.perf_counter() - t0)
-    return K, res, balance_mod.balance_diagnostics(res), wall_ms
+    return K, res, wall_ms
 
 
 def _converge_row(config, source, solution, g0, fredholm_value, n):
-    K, res, d, wall_balance = _balanced_kernel(config, source, n)
+    K, res, wall_balance = _balanced_kernel(config, source, n)
     t0 = time.perf_counter()
     Dn = permanent_mod.compute_Dn(K, cap=config.permanent_cap,
                                   workers=config.workers).value
@@ -334,7 +334,7 @@ def _converge_row(config, source, solution, g0, fredholm_value, n):
     # One permanent per row: balanced = diag(u) K diag(u), and for bridge
     # sources K = diag(exp(-a)) exp(-C) diag(exp(-a)), so multilinearity
     # gives the other two permanents as D_n times a diagonal product.
-    Dh = Dn * d.prod_u_sq
+    Dh = Dn * res.prod_u_sq
     if solution is not None:
         a = bridge_mod.evaluate_potential(solution, grid_mod.grid_nodes(n))
         ln_scaled = Dn * math.exp(2.0 * math.fsum(a) + n * g0)
@@ -347,19 +347,20 @@ def _converge_row(config, source, solution, g0, fredholm_value, n):
         mccullagh=mcc, fredholm_limit=fredholm_value,
         err_Dn=abs(Dn - fredholm_value),
         err_ratio_mcc=abs(mcc / Dh - 1.0),
-        h_norm_2n=d.norm_2n_h, h_norm_inf=d.norm_inf_h, sum_log=d.sum_log,
-        m_n=d.m_n, wall_ms_permanent=wall_perm, wall_ms_balance=wall_balance)
+        h_norm_2n=res.norm_2n_h, h_norm_inf=res.norm_inf_h,
+        sum_log=res.sum_log, m_n=res.m_n, wall_ms_permanent=wall_perm,
+        wall_ms_balance=wall_balance)
 
 
 def _balance_row(config, source, n):
-    _, res, d, wall_ms = _balanced_kernel(config, source, n)
+    _, res, wall_ms = _balanced_kernel(config, source, n)
     return BalanceStudyRecord(
-        n=n, h_norm_2n=d.norm_2n_h, h_norm_inf=d.norm_inf_h,
-        sum_log=d.sum_log, m_n=d.m_n,
-        n_h_norm_2n=n * d.norm_2n_h,
-        sqrt_n_h_norm_inf=math.sqrt(n) * d.norm_inf_h,
-        n_abs_sum_log=n * abs(d.sum_log),
-        n2_abs_m_n=n * n * abs(d.m_n),
+        n=n, h_norm_2n=res.norm_2n_h, h_norm_inf=res.norm_inf_h,
+        sum_log=res.sum_log, m_n=res.m_n,
+        n_h_norm_2n=n * res.norm_2n_h,
+        sqrt_n_h_norm_inf=math.sqrt(n) * res.norm_inf_h,
+        n_abs_sum_log=n * abs(res.sum_log),
+        n2_abs_m_n=n * n * abs(res.m_n),
         iterations=res.iterations, residual=res.residual,
         wall_ms_balance=wall_ms)
 

@@ -1,9 +1,10 @@
-"""Exact permanents and the normalised grid permanent D_n = per(K)/n!.
+"""The normalised grid permanent D_n = per(K)/n!, and a small-n reference.
 
-Glynn's signed-average formula is the one floating-point algorithm: an
-O(2^(n-1) * n) sum over sign vectors, walked in Gray-code order so each
-step updates a single running vector of column sums. A brute-force sum
-over all n! permutations (n <= 9) is kept as the small-n reference.
+:func:`compute_Dn` is the one floating-point entry point. It evaluates
+Glynn's signed-average formula: an O(2^(n-1) * n) sum over sign vectors,
+walked in Gray-code order so each step updates a single running vector of
+column sums. :func:`permanent_brute`, the sum over all n! permutations
+(n <= 9), is kept as the small-n reference.
 
 The 2^(n-1) terms alternate in sign and cancel almost completely, which
 amplifies rounding. Every row is first divided by a power of two near its
@@ -15,7 +16,7 @@ the signed products are added with Kahan compensation, also in long
 double. Against an exact big-integer permanent of the same float64 matrix,
 D_n is within about 1e-16 relative at n = 12 and 16 on the quadratic
 bridge, and against the closed form of the rank-two cosine kernel within
-about 7e-17 at n = 20 to 24; the tests gate them at 1e-13 and 1e-14.
+about 2e-16 at n = 20 to 26; the tests gate them at 1e-13 and 1e-14.
 
 The Gray-code loop is a small C function, compiled with the system's
 ``cc`` on the first permanent of a process (never at import), cached in
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, RuntimeBudgetWarning
-from .grid import KernelMatrix
 
 _LD = np.longdouble
 _BLOCK = 1 << 15
@@ -135,20 +135,6 @@ class PermanentValue:
     value: float
 
 
-def permanent_exact(M, *, cap: int = DEFAULT_CAP,
-                    workers: int = 1) -> PermanentValue:
-    """Exact permanent by Glynn's formula.
-
-    The permanent is linear in each row, so every row is divided by a power
-    of two near its largest modulus first and the powers are multiplied
-    back. Without that step a row that dominates the column sums makes the
-    signed terms cancel catastrophically: one row of a positive 8 x 8
-    matrix scaled by 100 cost 10 digits, and by 1e4 all of them.
-    """
-    M = _check_matrix(M, cap)
-    return PermanentValue(M.shape[0], _permanent(M, workers))
-
-
 def permanent_brute(M) -> PermanentValue:
     """Permanent as the literal sum over all n! permutations (n <= 9)."""
     M = _check_matrix(M, _BRUTE_MAX,
@@ -168,15 +154,19 @@ def _permutation_table(n: int) -> np.ndarray:
 
 
 def compute_Dn(K, *, cap: int = DEFAULT_CAP, workers: int = 1) -> PermanentValue:
-    """per(K)/n! for a sampled kernel or a square array.
+    """per(K)/n! by Glynn's formula, for a sampled kernel or a square array.
 
-    The division by n! happens once, in extended precision, on the sum that
-    :func:`permanent_exact` also computes, so D_n never passes through the
-    overflowing per(K) and the entries are not rounded by a division.
+    The permanent is linear in each row, so every row is divided by a power
+    of two near its largest modulus first and the powers are multiplied
+    back. Without that step a row that dominates the column sums makes the
+    signed terms cancel catastrophically: one row of a positive 8 x 8
+    matrix scaled by 100 cost 10 digits, and by 1e4 all of them. The
+    division by n! happens once, in extended precision, on the Glynn sum,
+    so D_n never passes through the overflowing per(K) and the entries are
+    not rounded by a division.
     """
-    entries = _check_matrix(K.entries if isinstance(K, KernelMatrix) else K, cap)
-    n = entries.shape[0]
-    return PermanentValue(n, _permanent(entries, workers, math.factorial(n)))
+    M = _check_matrix(K, cap)
+    return PermanentValue(M.shape[0], _normalised_permanent(M, workers))
 
 
 def _check_matrix(M, cap, reason=None) -> np.ndarray:
@@ -193,8 +183,8 @@ def _check_matrix(M, cap, reason=None) -> np.ndarray:
     return M
 
 
-def _permanent(M, workers, divisor=1) -> float:
-    """per(M) / divisor, with M's rows rescaled by powers of two.
+def _normalised_permanent(M, workers) -> float:
+    """per(M) / n!, with M's rows rescaled by powers of two.
 
     Row i is multiplied by 2^-e_i, where 2^e_i is the power of two just
     above its largest modulus (np.frexp), so every row peaks in [1/2, 1).
@@ -213,10 +203,7 @@ def _permanent(M, workers, divisor=1) -> float:
             RuntimeBudgetWarning, stacklevel=3)
     _, exps = np.frexp(np.abs(M).max(axis=1))  # a zero row keeps e = 0
     rows = np.ascontiguousarray(np.ldexp(M, -exps[:, None]))  # exact
-    chunk = _compiled_kernel()
-    if chunk is None:
-        chunk = _glynn_chunk
-        rows = rows.astype(_LD)
+    chunk = _compiled_kernel() or _glynn_chunk
 
     # per(M) = 2^(1-n) sum over delta in {+-1}^n, delta_1 = +1, of
     # prod_k delta_k * prod_j sum_i delta_i M_ij (Glynn). The sum is cut at
@@ -240,13 +227,13 @@ def _permanent(M, workers, divisor=1) -> float:
         comp = (t - total) - y
         total = t
     total = total + np.prod(rows.sum(axis=0, dtype=_LD), dtype=_LD)
-    return float(np.ldexp(total / _LD(divisor), int(exps.sum()) - (n - 1)))
+    total /= _LD(math.factorial(n))
+    return float(np.ldexp(total, int(exps.sum()) - (n - 1)))
 
 
 @functools.lru_cache(maxsize=None)
 def _compiled_kernel():
-    """The C loop with the signature of :func:`_glynn_chunk` but on float64
-    rows, or None.
+    """The C loop with the signature of :func:`_glynn_chunk`, or None.
 
     None means the library could not be built or loaded: no compiler, a
     failed or timed-out compile, an unusable cache directory or a failed
@@ -333,8 +320,10 @@ def _glynn_chunk(rows, n, k_start, k_end) -> np.longdouble:
     k indexes the sign vector delta over rows 2..n (delta_1 stays +1); the
     k = 0 all-plus term is added by the caller. Bit j of gray(k) set means
     delta_{j+2} = -1; flipping one bit shifts every column sum by
-    2 * delta_new * row_{j+2}.
+    2 * delta_new * row_{j+2}. The float64 rows are cast to long double,
+    which is exact, and the column sums are kept in long double.
     """
+    rows = rows.astype(_LD)
     g0 = k_start ^ (k_start >> 1)
     mask = (g0 >> np.arange(n - 1)) & 1
     colsums = rows.sum(axis=0, dtype=_LD) - 2 * (rows[1:] * mask[:, None]).sum(

@@ -65,19 +65,21 @@ def mccullagh_estimate(A) -> float:
     eigen-solve, gap check and log-sum as :func:`fredholm_limit`: every
     eigenvalue of B must stay below modulus 1 - 1e-8, and the value must
     fit in a double, else SpectralGapError. Input that is not square,
-    not doubly stochastic or not symmetric (both to 1e-10) raises
-    ValueError.
+    not finite, not doubly stochastic or not symmetric (both to 1e-10)
+    raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("mccullagh_estimate expects a square matrix")
-    dev = max(float(np.abs(A.sum(axis=1) - 1.0).max()),
-              float(np.abs(A.sum(axis=0) - 1.0).max()))
-    if dev > _ASYM_TOL:
+    # A non-finite entry makes a row sum or the asymmetry inf or nan, and
+    # `not x <= tol` rejects both.
+    dev = float(np.maximum(np.abs(A.sum(axis=1) - 1.0).max(),
+                           np.abs(A.sum(axis=0) - 1.0).max()))
+    if not dev <= _ASYM_TOL:
         raise ValueError(
             f"matrix is not doubly stochastic (row/column sum deviation {dev:.3e})")
     asym = max_asymmetry(A)
-    if asym > _ASYM_TOL:
+    if not asym <= _ASYM_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {_ASYM_TOL:g}")
     return _centered_determinant(A - 1.0 / A.shape[0])[0]
 

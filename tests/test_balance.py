@@ -13,8 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import permlim
 from permlim import (BalanceError, BalanceResult, SingularSystemError,
-                     balance_diagnostics, balance_fixed_point, compute_Dn,
-                     norm_2n, sample_kernel)
+                     balance_fixed_point, compute_Dn, norm_2n, sample_kernel)
 from permlim.bridge import _BLOCK
 from test_grid import _NON_FINITE, _planted
 
@@ -84,35 +83,31 @@ def test_scaling_identity_bridge_n100(quad_source):
 
 def test_diagnostics_zero_perturbation(const_source):
     res = balance_fixed_point(sample_kernel(const_source, 4))
-    d = balance_diagnostics(res)
-    assert (d.norm_2n_h, d.norm_inf_h, d.sum_log, d.m_n) == (0, 0, 0, 0)
-    assert d.prod_u_sq == 1.0
+    assert (res.norm_2n_h, res.norm_inf_h, res.sum_log, res.m_n) == (0, 0, 0, 0)
+    assert res.prod_u_sq == 1.0
 
 
 def test_diagnostics_two_point_example():
     h = np.array([0.1, -0.1])
     u = 1.0 + h
     res = BalanceResult(2, h, u, np.outer(u, u), 1, 0.0)
-    d = balance_diagnostics(res)
-    assert d.m_n == 0.0
-    assert d.sum_log == pytest.approx(math.log(1.1) + math.log(0.9), abs=1e-15)
-    assert d.prod_u_sq == pytest.approx(0.9801, abs=1e-15)
-    assert d.prod_u_sq == pytest.approx(math.exp(2.0 * d.sum_log), rel=1e-12)
+    assert res.m_n == 0.0
+    assert res.sum_log == pytest.approx(math.log(1.1) + math.log(0.9), abs=1e-15)
+    assert res.prod_u_sq == pytest.approx(0.9801, abs=1e-15)
+    assert res.prod_u_sq == pytest.approx(math.exp(2.0 * res.sum_log), rel=1e-12)
 
 
 def test_diagnostics_invariant_on_solved_instance(cosine_half):
     res = balance_fixed_point(sample_kernel(cosine_half, 12))
-    d = balance_diagnostics(res)
-    assert d.prod_u_sq == pytest.approx(math.exp(2.0 * d.sum_log), rel=1e-12)
-    assert d.norm_2n_h <= d.norm_inf_h
+    assert res.prod_u_sq == pytest.approx(math.exp(2.0 * res.sum_log), rel=1e-12)
+    assert res.norm_2n_h <= res.norm_inf_h
 
 
 def test_cosine_mean_defect_rate(cosine_half):
     scaled = {}
     for n in (100, 400):
-        d = balance_diagnostics(
-            balance_fixed_point(sample_kernel(cosine_half, n)))
-        scaled[n] = n * n * abs(d.m_n)
+        res = balance_fixed_point(sample_kernel(cosine_half, n))
+        scaled[n] = n * n * abs(res.m_n)
     assert max(scaled.values()) / min(scaled.values()) <= 8.0
 
 

@@ -11,6 +11,7 @@ from permlim import (ConvergenceError, CostFunction, OverflowGuardError,
                      evaluate_potential, expression_cost, gamma0,
                      gauss_legendre, grid_nodes, quadratic_cost,
                      sample_kernel, solve_potential, tabulated_source)
+from permlim.bridge import max_asymmetry
 
 ZERO_COST = quadratic_cost(0.0)
 GAMMA0_QUADRATIC = 0.1529210810610881  # beta = 1 continuum value
@@ -233,6 +234,14 @@ def test_tabulated_source_interpolates():
     assert K[1, 1] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ValueError):
         tabulated_source(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", [3, 300])  # one tile, and 3 x 3 tiles
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_max_asymmetry_propagates_nan(n, where):
+    M = np.ones((n, n))
+    M[(0, 1) if where == "first" else (n - 1, n - 2)] = np.nan
+    assert math.isnan(max_asymmetry(M))
 
 
 def test_tabulated_source_rejects_asymmetric_table():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from permlim import (bridge_source, centered_nystrom, constant_source,
-                     cosine_source, evaluate_potential, gauss_legendre,
-                     grid_nodes, load_matrix, norm_2n, norm_inf,
-                     riemann_correction_check, sample_kernel, save_matrix,
-                     tabulated_source)
+from permlim import (balance_fixed_point, bridge_source, centered_nystrom,
+                     compute_Dn, constant_source, cosine_source,
+                     evaluate_potential, gauss_legendre, grid_nodes,
+                     load_matrix, norm_2n, norm_inf, riemann_correction_check,
+                     sample_kernel, save_matrix, tabulated_source)
 from permlim.bridge import _BLOCK
 from permlim.cost import bilinear_interpolant
 
@@ -134,6 +134,19 @@ def test_kernel_matrix_immutable(const_source):
     K = sample_kernel(const_source, 3)
     with pytest.raises(ValueError):
         K.entries[0, 0] = 2.0
+
+
+def test_kernel_matrix_is_its_read_only_entries(tmp_path, cosine_half):
+    K = sample_kernel(cosine_half, 9)
+    entries = np.asarray(K)
+    assert np.shares_memory(entries, K.entries)
+    assert not entries.flags.writeable
+    assert np.shares_memory(balance_fixed_point(K).kernel, K.entries)
+    assert compute_Dn(K).value.hex() == compute_Dn(K.entries).value.hex()
+    save_matrix(tmp_path / "kernel.txt", K)
+    assert np.array_equal(load_matrix(tmp_path / "kernel.txt"), K.entries)
+    copied = np.array(K, copy=True)
+    assert copied.flags.writeable and not np.shares_memory(copied, K.entries)
 
 
 def _row_defect(K):

@@ -15,23 +15,28 @@ import permlim.permanent as permanent_module
 from permlim import (CapExceededError, RunConfig, RuntimeBudgetWarning,
                      balance_fixed_point, bridge_source, compute_Dn,
                      cosine_source, gamma0, grid_nodes, permanent_brute,
-                     permanent_exact, quadratic_cost, run_converge,
-                     sample_kernel, solve_potential)
+                     quadratic_cost, run_converge, sample_kernel,
+                     solve_potential)
 
 ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
 
+def _per(M, **kwargs):
+    """per(M) as compute_Dn(M) * n!."""
+    return compute_Dn(M, **kwargs).value * math.factorial(len(M))
+
+
 def test_identity_and_ones():
-    assert permanent_exact(np.eye(4)).value == pytest.approx(1.0, abs=1e-14)
-    assert permanent_exact(np.ones((3, 3))).value == pytest.approx(6.0, abs=1e-12)
+    assert _per(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
+    assert _per(np.ones((3, 3))) == pytest.approx(6.0, abs=1e-12)
     assert permanent_brute(np.ones((4, 4))).value == pytest.approx(24.0, abs=1e-12)
     assert permanent_brute(np.eye(5)).value == pytest.approx(1.0, abs=1e-14)
-    assert permanent_exact(np.zeros((3, 3))).value == 0.0
+    assert _per(np.zeros((3, 3))) == 0.0
 
 
 def test_two_by_two():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert permanent_exact(M).value == pytest.approx(10.0, abs=1e-12)
+    assert _per(M) == pytest.approx(10.0, abs=1e-12)
     assert permanent_brute(M).value == pytest.approx(10.0, abs=1e-12)
 
 
@@ -41,17 +46,14 @@ def test_methods_agree_with_brute_force():
         for _ in range(5):
             M = rng.uniform(0.0, 2.0, (n, n))
             ref = permanent_brute(M).value
-            assert abs(permanent_exact(M).value - ref) <= 1e-12 * ref
+            assert abs(_per(M) - ref) <= 1e-12 * ref
 
 
 def test_dominant_row_keeps_digits():
     # unscaled, Glynn's signed terms cancel to a relative error of ~1e4 here
     M = np.random.default_rng(5).uniform(0.1, 2.0, (8, 8))
     M[3] *= 1e4
-    exact = _exact_Dn(M)
-    assert _rel_err(permanent_exact(M).value,
-                    exact * math.factorial(8)) <= 1e-14
-    assert _rel_err(compute_Dn(M).value, exact) <= 1e-14
+    assert _rel_err(compute_Dn(M).value, _exact_Dn(M)) <= 1e-14
 
 
 def test_row_scaling_multilinearity():
@@ -60,19 +62,18 @@ def test_row_scaling_multilinearity():
         M = rng.uniform(0.0, 2.0, (n, n))
         d1 = rng.uniform(0.5, 1.5, n)
         d2 = rng.uniform(0.5, 1.5, n)
-        scaled = permanent_exact(np.diag(d1) @ M @ np.diag(d2)).value
-        expected = permanent_exact(M).value * np.prod(d1) * np.prod(d2)
+        scaled = _per(np.diag(d1) @ M @ np.diag(d2))
+        expected = _per(M) * np.prod(d1) * np.prod(d2)
         assert scaled == pytest.approx(expected, rel=1e-12)
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(7)
     M = rng.uniform(0.0, 2.0, (6, 6))
-    base = permanent_exact(M).value
+    base = _per(M)
     for _ in range(5):
         p = rng.permutation(6)
-        assert permanent_exact(M[p][:, p]).value == pytest.approx(base,
-                                                                  rel=1e-12)
+        assert _per(M[p][:, p]) == pytest.approx(base, rel=1e-12)
 
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -87,16 +88,13 @@ def test_property_row_and_column_permutations(M, data):
     n = M.shape[0]
     rows = data.draw(st.permutations(range(n)))
     cols = data.draw(st.permutations(range(n)))
-    base = permanent_exact(M).value
-    assert permanent_exact(M[rows][:, cols]).value == pytest.approx(
-        base, rel=1e-12)
+    assert _per(M[rows][:, cols]) == pytest.approx(_per(M), rel=1e-12)
 
 
 @_PROPERTY
 @given(_POSITIVE_SQUARE)
 def test_property_transpose(M):
-    assert permanent_exact(M.T).value == pytest.approx(
-        permanent_exact(M).value, rel=1e-12)
+    assert _per(M.T) == pytest.approx(_per(M), rel=1e-12)
 
 
 @_PROPERTY
@@ -105,33 +103,30 @@ def test_property_row_scaling(M, data, c):
     k = data.draw(st.integers(0, M.shape[0] - 1))
     scaled = M.copy()
     scaled[k] *= c
-    assert permanent_exact(scaled).value == pytest.approx(
-        c * permanent_exact(M).value, rel=1e-12)
+    assert _per(scaled) == pytest.approx(c * _per(M), rel=1e-12)
 
 
 @_PROPERTY
 @given(_POSITIVE_SQUARE)
 def test_property_Dn_is_normalised_permanent(M):
-    n = M.shape[0]
-    assert compute_Dn(M).value * math.factorial(n) == pytest.approx(
-        permanent_exact(M).value, rel=1e-12)
+    assert _rel_err(compute_Dn(M).value, _exact_Dn(M)) <= 1e-12
 
 
 def test_caps_and_validation():
     with pytest.raises(CapExceededError):
-        permanent_exact(np.ones((5, 5)), cap=4)
+        compute_Dn(np.ones((5, 5)), cap=4)
     with pytest.raises(CapExceededError):
         permanent_brute(np.ones((10, 10)))
     with pytest.raises(ValueError, match="non-finite"):
-        permanent_exact(np.array([[1.0, np.nan], [1.0, 1.0]]))
+        compute_Dn(np.array([[1.0, np.nan], [1.0, 1.0]]))
     with pytest.raises(ValueError):
-        permanent_exact(np.ones((3, 3)), workers=0)
+        compute_Dn(np.ones((3, 3)), workers=0)
 
 
 def test_runtime_warning_threshold(monkeypatch):
     monkeypatch.setattr(permanent_module, "_WARN_ABOVE", 4)
     with pytest.warns(RuntimeBudgetWarning):
-        permanent_exact(np.ones((5, 5)))
+        compute_Dn(np.ones((5, 5)))
 
 
 def test_worker_count_does_not_change_bits(cosine_half):
@@ -156,7 +151,7 @@ def test_compute_Dn_small_cases(cosine_half):
 
 def test_normalized_mode_consistency(cosine_half):
     K = sample_kernel(cosine_half, 7)
-    raw = permanent_exact(K.entries).value
+    raw = permanent_brute(K.entries).value
     norm = compute_Dn(K).value
     assert norm * math.factorial(7) == pytest.approx(raw, rel=1e-10)
 
@@ -239,10 +234,10 @@ def test_compiled_matches_numpy_across_granules(cosine_half, quad_source,
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.45])
-@pytest.mark.parametrize("n", [20, 22, 24])
+@pytest.mark.parametrize("n", [20, 22, 24, 26])
 def test_compute_Dn_matches_rank_two_cosine(n, eps):
     exact = _cosine_Dn(n, eps)
-    value = compute_Dn(sample_kernel(cosine_source(eps), n)).value
+    value = compute_Dn(sample_kernel(cosine_source(eps), n), workers=2).value
     assert abs(np.longdouble(value) - exact) / exact <= 1e-14
 
 
@@ -417,7 +412,7 @@ def _cosine_Dn(n, eps):
     c_n = -1, so prod_i (1 + c_i x) = (1 - x) prod_(i <= p) (1 - c_i^2 x^2)
     with p = (n - 1) // 2, and |E_k(c)| = e_(k//2)(c_1^2, ..., c_p^2) for
     k <= 2p + 1 (E_k = 0 above): a sum of positive terms, free of
-    cancellation. C(n, k) <= C(24, 12) is an exact integer here.
+    cancellation. C(n, k) <= C(26, 13) is an exact integer here.
     """
     ld = np.longdouble
     p = (n - 1) // 2

@@ -92,6 +92,14 @@ def test_mccullagh_requires_doubly_stochastic():
         mccullagh_estimate(np.array([[0.9, 0.2], [0.2, 0.9]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mccullagh_rejects_non_finite(bad):
+    A = np.full((3, 3), 1.0 / 3.0)
+    A[0, 1] = A[1, 0] = bad  # symmetric, so only the sums can see it
+    with pytest.raises(ValueError, match="doubly stochastic"):
+        mccullagh_estimate(A)
+
+
 def test_eigen_symmetric_rejects_asymmetry():
     # doubly stochastic but not symmetric
     cyclic = np.roll(np.eye(5), 1, axis=1)
