@@ -37,18 +37,24 @@ def norm_inf(v: np.ndarray) -> float:
 class KernelMatrix:
     """Samples rho(i/n, j/n); ``entries / n`` is the normalised kernel.
 
-    It is array-like: ``np.asarray(K)`` returns the read-only ``entries``
-    themselves, so every later stage takes it as a plain array.
+    It is array-like: ``np.asarray(K)`` returns the read-only float
+    ``entries`` themselves, so every later stage takes it as a plain array.
     """
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries, dtype=float).view()
+        entries.setflags(write=False)  # on the view: the caller's array stays
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype, copy=copy)
+        # numpy 1.x calls this without ``copy`` and rejects ``copy=None``.
+        return (np.array if copy else np.asarray)(self.entries, dtype=dtype)
 
 
 def grid_nodes(n: int) -> np.ndarray:
@@ -77,7 +83,6 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
     if K.min() <= 0.0:
         raise ValueError(
             f"sampled kernel must be strictly positive; min entry {K.min():.3e}")
-    K.setflags(write=False)
     return KernelMatrix(K)
 
 

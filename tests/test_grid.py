@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from permlim import (balance_fixed_point, bridge_source, centered_nystrom,
-                     compute_Dn, constant_source, cosine_source,
-                     evaluate_potential, gauss_legendre, grid_nodes,
-                     load_matrix, norm_2n, norm_inf, riemann_correction_check,
-                     sample_kernel, save_matrix, tabulated_source)
+from permlim import (KernelMatrix, balance_fixed_point, bridge_source,
+                     centered_nystrom, compute_Dn, constant_source,
+                     cosine_source, evaluate_potential, gauss_legendre,
+                     grid_nodes, load_matrix, norm_2n, norm_inf,
+                     riemann_correction_check, sample_kernel, save_matrix,
+                     tabulated_source)
 from permlim.bridge import _BLOCK
 from permlim.cost import bilinear_interpolant
 
@@ -147,6 +148,18 @@ def test_kernel_matrix_is_its_read_only_entries(tmp_path, cosine_half):
     assert np.array_equal(load_matrix(tmp_path / "kernel.txt"), K.entries)
     copied = np.array(K, copy=True)
     assert copied.flags.writeable and not np.shares_memory(copied, K.entries)
+    # numpy 1.x calls __array__ with no arguments.
+    assert np.shares_memory(K.__array__(), K.entries)
+
+
+def test_kernel_matrix_built_directly_is_float_and_read_only():
+    source = np.array([[2, 1], [1, 2]])
+    K = KernelMatrix(source)
+    assert K.entries.dtype == float and K.n == 2
+    assert not np.asarray(K).flags.writeable
+    floats = source.astype(float)
+    assert np.shares_memory(KernelMatrix(floats).entries, floats)
+    assert floats.flags.writeable  # the caller's array is left writable
 
 
 def _row_defect(K):

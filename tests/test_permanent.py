@@ -235,7 +235,9 @@ def test_compiled_matches_numpy_across_granules(cosine_half, quad_source,
 
 @pytest.mark.parametrize("eps", [0.3, 0.45])
 @pytest.mark.parametrize("n", [20, 22, 24, 26])
-def test_compute_Dn_matches_rank_two_cosine(n, eps):
+def test_compute_Dn_matches_rank_two_cosine(n, eps, monkeypatch):
+    if n == 26:  # about 1 s compiled, 23 s on the numpy fallback
+        _use_kernel("compiled", monkeypatch)
     exact = _cosine_Dn(n, eps)
     value = compute_Dn(sample_kernel(cosine_source(eps), n), workers=2).value
     assert abs(np.longdouble(value) - exact) / exact <= 1e-14
