@@ -116,7 +116,7 @@ def solve_potential(
         raise ValueError("max_iter must be >= 1")
     if cost.smoothness_claim != "C2":
         warnings.warn(
-            f"cost {cost.label or cost.family} is declared {cost.smoothness_claim}; "
+            f"cost {cost.label} is declared {cost.smoothness_claim}; "
             "potential iteration is only guaranteed for twice differentiable costs",
             SmoothnessWarning, stacklevel=2)
 
@@ -202,18 +202,8 @@ class DensitySource:
     temporary is made. A Gibbs block is negated, shifted by the potential
     and exponentiated in place, in the order -c - a_i - a_j; an exponent
     beyond +/-700 raises OverflowGuardError before exp runs on its block.
-    Kinds:
-
-    * ``bridge``: rho from a converged :class:`PotentialSolution`.
-    * ``synthetic-constant``: rho = 1.
-    * ``synthetic-cosine``: rho = 1 + 2 eps cos(pi x) cos(pi y); its
-      centering has the single nontrivial eigenvalue eps, so the limiting
-      constant is (1 - eps^2)^(-1/2) in closed form.
-    * ``tabulated-kernel``: bilinear interpolation of a stored symmetric
-      matrix.
     """
 
-    kind: str
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -243,22 +233,23 @@ def bridge_source(solution: PotentialSolution) -> DensitySource:
     """rho(x, y) = exp(-c(x, y) - a(x) - a(y)) from a converged potential."""
 
     return DensitySource(
-        "bridge", lambda x, y: solution.cost.evaluator(x[:, None], y[None, :]),
+        lambda x, y: solution.cost.evaluator(x[:, None], y[None, :]),
         lambda t: evaluate_potential(solution, t))
 
 
 def constant_source() -> DensitySource:
     """rho = 1, the product measure; every derived quantity is known exactly."""
-    return DensitySource("synthetic-constant",
-                         lambda x, y: np.ones((x.size, y.size)))
+    return DensitySource(lambda x, y: np.ones((x.size, y.size)))
 
 
 def cosine_source(eps: float) -> DensitySource:
     """rho = 1 + 2 eps cos(pi x) cos(pi y) with 0 <= eps < 1.
 
-    Values of eps above 1/2 make rho negative near the corners; sampling
-    such a source fails the grid positivity check, but the spectral
-    quantities remain well defined, so construction is allowed.
+    Its centering has the single nontrivial eigenvalue eps, so the
+    limiting constant is (1 - eps^2)^(-1/2) in closed form. Values of eps
+    above 1/2 make rho negative near the corners; sampling such a source
+    fails the grid positivity check, but the spectral quantities remain
+    well defined, so construction is allowed.
     """
     eps = float(eps)
     if not (0.0 <= eps < 1.0):
@@ -268,7 +259,7 @@ def cosine_source(eps: float) -> DensitySource:
         return (1.0 + 2.0 * eps * np.cos(math.pi * x)[:, None]
                 * np.cos(math.pi * y)[None, :])
 
-    return DensitySource("synthetic-cosine", rho)
+    return DensitySource(rho)
 
 
 def tabulated_source(values: np.ndarray) -> DensitySource:
@@ -278,8 +269,7 @@ def tabulated_source(values: np.ndarray) -> DensitySource:
     asym = max_asymmetry(np.asarray(values, dtype=float))
     if asym > 1e-12:
         raise ValueError(f"tabulated kernel asymmetry {asym:.3e} exceeds 1e-12")
-    return DensitySource("tabulated-kernel",
-                         lambda x, y: interpolate(x[:, None], y[None, :]))
+    return DensitySource(lambda x, y: interpolate(x[:, None], y[None, :]))
 
 
 def max_asymmetry(M: np.ndarray) -> float:

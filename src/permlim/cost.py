@@ -1,6 +1,6 @@
 """Cost functions c(x, y) on the unit square and their validation.
 
-Built-in families:
+The constructors below build the INI ``[cost]`` families:
 
 * ``quadratic``: c = beta * (x - y)**2, twice continuously differentiable.
 * ``absolute``:  c = beta * |x - y|, continuous but with a kink on the
@@ -17,34 +17,27 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-FAMILIES = ("quadratic", "absolute", "tabulated", "custom-expression")
 MIN_GRID = 2
-
-_CHECK_NAMES = ("finiteness", "nonnegativity", "symmetry", "diagonal", "reflection")
 
 
 @dataclass(frozen=True)
 class CostFunction:
-    """An evaluatable cost c:[0,1]^2 -> [0, inf) with metadata.
+    """An evaluatable cost c:[0,1]^2 -> [0, inf), labelled for messages.
 
     ``smoothness_claim`` is "C2" or "C0"; it is a declaration, not a verified
     property (automatic smoothness checking is out of scope).
     """
 
-    family: str
-    params: tuple[float, ...]
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    smoothness_claim: str = "C2"
-    label: str = ""
+    smoothness_claim: str
+    label: str
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown cost family {self.family!r}")
         if self.smoothness_claim not in ("C2", "C0"):
             raise ValueError("smoothness_claim must be 'C2' or 'C0'")
 
@@ -66,19 +59,9 @@ class ValidationReport:
     checks: tuple[CheckResult, ...]
     grid_size: int
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     @property
     def failed(self) -> bool:
         return any(c.status == "fail" for c in self.checks)
-
-    @property
-    def warned(self) -> bool:
-        return any(c.status == "warn" for c in self.checks)
 
 
 def quadratic_cost(beta: float = 1.0) -> CostFunction:
@@ -89,7 +72,7 @@ def quadratic_cost(beta: float = 1.0) -> CostFunction:
         d = x - y
         return beta * d * d
 
-    return CostFunction("quadratic", (beta,), ev, "C2", f"quadratic(beta={beta:g})")
+    return CostFunction(ev, "C2", f"quadratic(beta={beta:g})")
 
 
 def absolute_cost(beta: float = 1.0) -> CostFunction:
@@ -99,13 +82,13 @@ def absolute_cost(beta: float = 1.0) -> CostFunction:
     def ev(x, y):
         return beta * np.abs(x - y)
 
-    return CostFunction("absolute", (beta,), ev, "C0", f"absolute(beta={beta:g})")
+    return CostFunction(ev, "C0", f"absolute(beta={beta:g})")
 
 
 def tabulated_cost(values: np.ndarray) -> CostFunction:
     """Bilinear interpolation of an m x m table sampled at nodes i/(m-1)."""
     ev, m = bilinear_interpolant(values)
-    return CostFunction("tabulated", (float(m),), ev, "C0", f"tabulated({m}x{m})")
+    return CostFunction(ev, "C0", f"tabulated({m}x{m})")
 
 
 def bilinear_interpolant(values) -> tuple[Callable, int]:
@@ -142,11 +125,14 @@ def expression_cost(expr: str, smoothness_claim: str = "C2") -> CostFunction:
 
     Accepts numbers, the names ``x``, ``y``, ``pi`` and ``e``, the operators
     + - * / ** and unary minus, and calls to abs, exp, log, sqrt, sin, cos,
-    tan. Anything else is rejected before evaluation.
+    tan. Anything else, or nesting deeper than Python's recursion limit
+    lets the parser follow, is rejected before evaluation.
     """
-    ev = _compile_expression(expr)
-    return CostFunction("custom-expression", (), ev, smoothness_claim,
-                        f"expr({expr})")
+    try:
+        ev = _compile_expression(expr)
+    except RecursionError:  # parse, transform and compile recurse per level
+        raise ValueError("cost expression is nested too deeply") from None
+    return CostFunction(ev, smoothness_claim, f"expr({expr})")
 
 
 def validate_cost(cost: CostFunction, grid_size: int, tol: float) -> ValidationReport:
@@ -166,28 +152,18 @@ def validate_cost(cost: CostFunction, grid_size: int, tol: float) -> ValidationR
         C = np.asarray(cost.evaluator(X, Y), dtype=float)
 
     finite_bad = ~np.isfinite(C)
-    finiteness = CheckResult(
-        "finiteness",
-        "fail" if finite_bad.any() else "pass",
-        float("inf") if finite_bad.any() else 0.0,
-    )
     Cf = np.where(finite_bad, 0.0, C)
-
-    neg = float(max(0.0, -Cf.min()))
-    nonneg = CheckResult("nonnegativity", "fail" if neg > tol else "pass", neg)
-
-    asym = float(np.abs(Cf - Cf.T).max())
-    symmetry = CheckResult("symmetry", "fail" if asym > tol else "pass", asym)
-
-    diag = float(np.abs(np.diag(Cf)).max())
-    diagonal = CheckResult("diagonal", "warn" if diag > tol else "pass", diag)
-
-    refl = float(np.abs(Cf - Cf[::-1, ::-1]).max())
-    reflection = CheckResult("reflection", "warn" if refl > tol else "pass", refl)
-
-    return ValidationReport(
-        (finiteness, nonneg, symmetry, diagonal, reflection), grid_size
+    table = (
+        ("finiteness", "fail", float("inf") if finite_bad.any() else 0.0),
+        ("nonnegativity", "fail", float(max(0.0, -Cf.min()))),
+        ("symmetry", "fail", float(np.abs(Cf - Cf.T).max())),
+        ("diagonal", "warn", float(np.abs(np.diag(Cf)).max())),
+        ("reflection", "warn", float(np.abs(Cf - Cf[::-1, ::-1]).max())),
     )
+    return ValidationReport(
+        tuple(CheckResult(name, level if violation > tol else "pass", violation)
+              for name, level, violation in table),
+        grid_size)
 
 
 def _check_beta(beta: float) -> float:

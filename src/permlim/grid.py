@@ -48,10 +48,6 @@ class KernelMatrix:
         entries.setflags(write=False)  # on the view: the caller's array stays
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
     def __array__(self, dtype=None, copy=None):
         # numpy 1.x calls this without ``copy`` and rejects ``copy=None``.
         return (np.array if copy else np.asarray)(self.entries, dtype=dtype)

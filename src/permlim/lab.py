@@ -54,7 +54,6 @@ class RunConfig:
     balance_tol: float = 1e-12
     balance_max_iter: int = 200
     nystrom_m: int = 128
-    refinement_tol: float = spectral_mod.DEFAULT_REFINEMENT_TOL
     workers: int = 1
     csv_path: str | None = None
     eigen_dump: bool = False
@@ -164,7 +163,6 @@ _SCHEMA = {
               "balance_max_iter": ("balance_max_iter", _at_least(1)),
               "nystrom_m": ("nystrom_m",
                             _at_least(spectral_mod.MIN_RESOLUTION)),
-              "refinement_tol": ("refinement_tol", _parse_tol),
               "workers": ("workers", _at_least(1))},
     "output": {"csv_path": ("csv_path", str),
                "eigen_dump": ("eigen_dump", _parse_bool)},
@@ -173,8 +171,12 @@ _SCHEMA = {
 
 def load_config(path) -> RunConfig:
     """Parse an INI study config, rejecting unknown sections and keys."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)  # % is literal
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a ParsingError spans several lines
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     for section in parser.sections():
@@ -237,8 +239,7 @@ def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
         raise ConfigError(
             f"n_list entries {over} exceed permanent_cap={config.permanent_cap}")
     source, solution = _build_source(config, "converge")
-    fredholm = spectral_mod.fredholm_limit(
-        source, config.nystrom_m, refinement_tol=config.refinement_tol)
+    fredholm = spectral_mod.fredholm_limit(source, config.nystrom_m)
     if config.eigen_dump:
         _dump_eigenvalues(config.csv_path, fredholm.eigenvalues)
     g0 = bridge_mod.gamma0(solution) if solution is not None else math.nan

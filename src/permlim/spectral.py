@@ -33,8 +33,8 @@ _ASYM_TOL = 1e-10
 _GAP_MARGIN = 1e-8
 _GAP_WARN = 0.99
 _LOG_MAX = math.log(sys.float_info.max)  # about 709.78
+_REFINEMENT_TOL = 1e-5
 
-DEFAULT_REFINEMENT_TOL = 1e-5
 MIN_RESOLUTION = 32
 
 
@@ -103,11 +103,7 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
     return S
 
 
-def fredholm_limit(
-    source: DensitySource,
-    m: int,
-    refinement_tol: float = DEFAULT_REFINEMENT_TOL,
-) -> SpectrumReport:
+def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
     """Estimate prod (1 - lambda_k^2)^(-1/2) over the centered spectrum.
 
     The product runs over all m eigenvalues of the centered Nystrom
@@ -115,7 +111,7 @@ def fredholm_limit(
     :func:`mccullagh_estimate`. A SpectralGapWarning is emitted when the
     largest |lambda| at resolution m reaches 0.99, where the product is
     close to divergent. The estimate is recomputed at resolution 2m; if
-    the two values disagree by more than refinement_tol relative, a
+    the two values disagree by more than 1e-5 relative, a
     RefinementWarning is emitted and the report is marked not converged,
     but the resolution-m value is still returned.
     """
@@ -127,7 +123,7 @@ def fredholm_limit(
             SpectralGapWarning, stacklevel=2)
     value2 = _centered_determinant(centered_nystrom(source, 2 * m))[0]
     gap = abs(value2 / value - 1.0)
-    converged = gap <= refinement_tol
+    converged = gap <= _REFINEMENT_TOL
     if not converged:
         warnings.warn(
             f"Fredholm estimate moved by {gap:.3e} relative between m={m} and "

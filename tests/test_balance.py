@@ -60,11 +60,12 @@ def test_balanced_matrix_recomputable(cosine_half):
 def test_fixed_point_equation_residual(cosine_half):
     K = sample_kernel(cosine_half, 16)
     res = balance_fixed_point(K, tol=1e-12)
-    R = K.entries / K.n
+    n = np.asarray(K).shape[0]
+    R = K.entries / n
     h = res.h
     F = h + R @ h + (R.sum(axis=1) - 1.0) + h * (R.sum(axis=1) - 1.0) + h * (R @ h)
     assert norm_2n(F) <= 1e-12
-    rows = res.balanced.sum(axis=1) / K.n
+    rows = res.balanced.sum(axis=1) / n
     assert np.abs(rows - 1.0).max() <= 1e-11
 
 
@@ -263,3 +264,5 @@ def test_argument_checks(cosine_half):
             balance_fixed_point(K, tol=tol)
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
         balance_fixed_point(K, max_iter=0)
+    with pytest.raises(ValueError, match="square"):
+        balance_fixed_point(np.ones((3, 4)))

@@ -135,8 +135,8 @@ def test_overflow_guard_in_bridge_source():
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_cost_in_last_block_rejected(bad):
     # only the nodes above 0.99 (the last of three 128-row blocks at m = 300)
-    cost = CostFunction("custom-expression", (),
-                        lambda x, y: np.where(x > 0.99, bad, (x - y) ** 2))
+    cost = CostFunction(lambda x, y: np.where(x > 0.99, bad, (x - y) ** 2),
+                        "C2", "last-block")
     with pytest.raises(ValueError, match="non-finite values on the grid"):
         solve_potential(cost, m=300)
 
@@ -211,8 +211,7 @@ def test_bridge_source_zero_cost_all_ones():
 
 def test_constant_source_trivial():
     src = constant_source()
-    assert src.kind == "synthetic-constant"
-    assert src(np.array([0.3, 0.9]))[0, 1] == 1.0
+    assert np.array_equal(src(np.array([0.3, 0.9])), np.ones((2, 2)))
 
 
 def test_cosine_source_values_and_range():
@@ -250,4 +249,5 @@ def test_tabulated_source_rejects_asymmetric_table():
     with pytest.raises(ValueError, match="asymmetry"):
         tabulated_source(table)
     table[0, 4], table[4, 0] = 1.0 + 1e-13, 1.0  # within 1e-12: accepted
-    assert tabulated_source(table).kind == "tabulated-kernel"
+    K = tabulated_source(table)(np.array([0.0, 1.0]))
+    assert K[0, 1] == K[1, 0] == 1.0 + 1e-13  # rho(min, max) on both sides

@@ -86,39 +86,56 @@ def test_expression_syntax_error():
         expression_cost("x +* y")
 
 
+def test_expression_depth_limit():
+    # the depth at which parsing recurses too far depends on the stack, so
+    # only a depth well inside and two well outside the limit are tested
+    x = np.linspace(0.0, 1.0, 5)
+    c = expression_cost("x" + "+x" * 199)
+    np.testing.assert_allclose(c(x, 0.0), 200.0 * x, rtol=1e-15)
+    for terms in (1000, 20000):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            expression_cost("x" + "+x" * (terms - 1))
+
+
+def _by_name(report):
+    return {c.name: c for c in report.checks}
+
+
 def test_validate_quadratic_all_pass(quad_cost):
     report = validate_cost(quad_cost, 50, 1e-9)
     assert [c.name for c in report.checks] == [
         "finiteness", "nonnegativity", "symmetry", "diagonal", "reflection"]
-    assert not report.failed and not report.warned
-    assert report.check("symmetry").max_violation == 0.0
+    assert not report.failed
+    assert all(c.status == "pass" for c in report.checks)
+    assert _by_name(report)["symmetry"].max_violation == 0.0
 
 
 def test_validate_negative_cost_fails():
     c = expression_cost("x - y")
     report = validate_cost(c, 20, 1e-9)
-    assert report.check("nonnegativity").status == "fail"
+    assert _by_name(report)["nonnegativity"].status == "fail"
     assert report.failed
 
 
 def test_validate_asymmetric_table_fails():
     c = tabulated_cost(np.array([[0.0, 1.0], [2.0, 0.0]]))
     report = validate_cost(c, 16, 1e-9)
-    assert report.check("symmetry").status == "fail"
+    assert _by_name(report)["symmetry"].status == "fail"
 
 
 def test_validate_diagonal_and_reflection_warn_only():
     c = expression_cost("x * y")
     report = validate_cost(c, 20, 1e-9)
-    assert report.check("diagonal").status == "warn"
-    assert report.check("reflection").status == "warn"
-    assert not report.failed and report.warned
+    checks = _by_name(report)
+    assert checks["diagonal"].status == "warn"
+    assert checks["reflection"].status == "warn"
+    assert not report.failed
 
 
 def test_validate_nonfinite_fails():
     c = expression_cost("1 / (x + y)")
     report = validate_cost(c, 10, 1e-9)
-    assert report.check("finiteness").status == "fail"
+    assert _by_name(report)["finiteness"].status == "fail"
 
 
 def test_validate_argument_checks(quad_cost):

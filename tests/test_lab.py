@@ -48,7 +48,7 @@ def test_load_config_defaults(tmp_path):
 family = quadratic
 beta = 2.5
 """))
-    assert cfg.cost.params == (2.5,)
+    assert cfg.cost(0.0, 1.0) == 2.5
     assert cfg.bridge_m == 400
     assert cfg.balance_tol == 1e-12
     assert cfg.workers == 1
@@ -116,16 +116,16 @@ permanent_cap = 20
 balance_tol = 1e-10
 balance_max_iter = 33
 nystrom_m = 96
-refinement_tol = 1e-6
 workers = 3
 
 [output]
 csv_path = {tmp_path / "out.csv"}
 eigen_dump = yes
 """))
-    assert cfg.cost.params == (0.5,)
+    assert cfg.cost(0.0, 1.0) == 0.5
     assert (cfg.validate_grid, cfg.validate_tol) == (30, 1e-7)
-    assert cfg.kernel_source.kind == "synthetic-cosine"
+    np.testing.assert_allclose(cfg.kernel_source(np.array([0.0, 1.0])),
+                               [[1.5, 0.5], [0.5, 1.5]], rtol=0, atol=1e-15)
     assert (cfg.bridge_m, cfg.bridge_tol, cfg.bridge_max_iter,
             cfg.bridge_damping) == (48, 1e-11, 77, 0.5)
     assert cfg.n_list == (2, 4, 6)
@@ -133,7 +133,6 @@ eigen_dump = yes
     assert cfg.balance_tol == 1e-10
     assert cfg.balance_max_iter == 33
     assert cfg.nystrom_m == 96
-    assert cfg.refinement_tol == 1e-6
     assert cfg.workers == 3
     assert cfg.csv_path == str(tmp_path / "out.csv")
     assert cfg.eigen_dump is True
@@ -146,7 +145,7 @@ def test_load_config_relative_paths(tmp_path):
 family = tabulated
 path = table.txt
 """))
-    assert cfg.cost.family == "tabulated"
+    assert cfg.cost(0.0, 1.0) == 1.0 and cfg.cost(1.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("text,match", [
@@ -155,6 +154,7 @@ path = table.txt
     ("[kernel]\nkind = constant\n\n[study]\nn_list = 4 2\n",
      "strictly increasing"),
     ("[kernel]\nkind = constant\n\n[study]\nn_list = 0 2\n", "positive"),
+    ("[kernel]\nkind = constant\n\n[study]\nn_list = 2 x\n", "bad n_list"),
     ("[kernel]\nkind = constant\n\n[study]\nmethod = cofactor\n",
      "unknown keys"),
     ("[kernel]\nkind = constant\n\n[study]\nworkers = many\n", "bad value"),
@@ -164,12 +164,24 @@ path = table.txt
     ("[cost]\nfamily = quadratic\nbeta = steep\n", "bad value for 'beta'"),
     ("[cost]\nfamily = sinister\n", "unknown cost family"),
     ("[cost]\nfamily = tabulated\n", "path"),
+    ("[cost]\nfamily = custom-expression\n", "requires expression"),
+    ("[kernel]\nkind = tabulated\n", "tabulated kernel requires a path key"),
     ("[kernel]\nkind = cubic\n", "unknown kernel kind"),
     ("[kernel]\nkind = cosine\n", "eps"),
 ])
 def test_load_config_rejects(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
         load_config(_write_config(tmp_path / "c.ini", text))
+
+
+def test_load_config_percent_in_path_is_literal(tmp_path):
+    save_matrix(tmp_path / "t%1.txt", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    cfg = load_config(_write_config(tmp_path / "c.ini", """
+[cost]
+family = tabulated
+path = t%1.txt
+"""))
+    assert cfg.cost(0.0, 1.0) == 1.0
 
 
 def test_load_config_missing_file(tmp_path):
@@ -355,7 +367,7 @@ csv_path = {csv}
     real = lab_module.balance_mod.balance_fixed_point
 
     def explode(K, **kwargs):
-        if getattr(K, "n", None) == 8:
+        if np.asarray(K).shape[0] == 8:
             raise BalanceError("forced failure", residual=1.0, iterations=3)
         return real(K, **kwargs)
 
@@ -431,6 +443,21 @@ def test_runconfig_is_frozen():
     cfg = RunConfig()
     with pytest.raises(AttributeError):
         cfg.workers = 4
+
+
+def test_readme_config_tables_match_schema():
+    # every (section, key) row of README's "Config file reference" tables
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    reference = text.split("## Config file reference")[1].split("\n## ")[0]
+    documented = set()
+    for block in reference.split("\n### ")[1:]:
+        section = block.split("`[", 1)[1].split("]`", 1)[0]
+        documented |= {(section, line.split("`")[1])
+                       for line in block.splitlines()
+                       if line.startswith("| `")}
+    assert documented == {(section, key)
+                          for section, keys in lab_module._SCHEMA.items()
+                          for key in keys}
 
 
 def test_cli_exit_codes(tmp_path, constant_converge_cfg, capsys):
@@ -600,6 +627,48 @@ csv_path = {tmp_path / "o.csv"}
     assert "finite" in err[0]
 
 
+_OUTPUT = "[output]\ncsv_path = {csv}\n"
+
+
+@pytest.mark.parametrize("subcommand,text,match", [
+    ("validate-cost", "[cost]\nfamily = quadratic\n[cost]\nbeta = 2\n",
+     "section 'cost' already exists"),
+    ("validate-cost", "[cost]\nfamily = quadratic\nfamily = absolute\n",
+     "option 'family' in section 'cost' already exists"),
+    ("validate-cost", "family = quadratic\n", "no section headers"),
+    ("converge", "[kernel]\nkind = constant\n[study\nn_list = 2\n",
+     "parsing errors"),
+    ("validate-cost", "[cost]\nfamily = custom-expression\n"
+     "expression = 100%x\n", "disallowed construct Mod"),
+    ("validate-cost", "[cost]\nfamily = custom-expression\n"
+     "expression = x*y\nsmoothness = C1\n", "smoothness_claim"),
+    ("validate-cost", "[cost]\nfamily = custom-expression\n"
+     "expression = x" + "+x" * 19999 + "\n", "nested too deeply"),
+    ("converge", "[kernel]\nkind = constant\n[study]\nn_list = 2\n"
+     "refinement_tol = 1e-6\n", "unknown keys"),
+    ("solve-bridge", "[kernel]\nkind = constant\n" + _OUTPUT,
+     "solve-bridge requires a [cost] section"),
+    ("converge", "[kernel]\nkind = constant\n" + _OUTPUT,
+     "converge requires n_list in [study]"),
+    ("balance-study", "[study]\nn_list = 2\n" + _OUTPUT,
+     "needs a [cost] or a [kernel] section"),
+    ("converge", "[kernel]\nkind = constant\n[study]\nn_list = 2\n",
+     "converge requires csv_path in [output]"),
+], ids=["duplicate-section", "duplicate-key", "no-section-header",
+        "unterminated-section", "percent", "bad-smoothness", "deep-expression",
+        "refinement_tol-unknown", "solve-bridge-no-cost", "no-n_list",
+        "no-source", "no-csv_path"])
+def test_cli_config_error_is_one_line(tmp_path, capsys, subcommand, text,
+                                      match):
+    csv = tmp_path / "o.csv"
+    cfg = _write_config(tmp_path / "c.ini", text.format(csv=csv))
+    assert main([subcommand, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert match in err[0]
+    assert not csv.exists()
+
+
 def test_cli_nan_validate_tol_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.ini", """
 [cost]
@@ -657,13 +726,12 @@ _NUMERIC_KEYS = [
     ("study", "balance_tol", "converge"),
     ("study", "balance_max_iter", "converge"),
     ("study", "nystrom_m", "converge"),
-    ("study", "refinement_tol", "converge"),
     ("study", "workers", "converge"),
 ]
 _ZERO_ALLOWED = {"beta", "eps"}  # beta = 0 is a zero cost, eps = 0 rho = 1
 _LOAD_CHECKED = {"validate_grid", "validate_tol", "m", "tol", "max_iter",
                  "damping", "permanent_cap", "balance_tol", "balance_max_iter",
-                 "nystrom_m", "refinement_tol", "workers"}
+                 "nystrom_m", "workers"}
 # the first value past each stage limit that nan, -1, 0 and x do not probe
 _PAST_LIMIT = [("cost", "validate_grid", "validate-cost", "1"),
                ("bridge", "m", "solve-bridge", "7"),

@@ -121,6 +121,9 @@ def test_caps_and_validation():
         compute_Dn(np.array([[1.0, np.nan], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         compute_Dn(np.ones((3, 3)), workers=0)
+    for shape in ((3, 4), (3,), (0, 0)):
+        with pytest.raises(ValueError, match="nonempty square"):
+            compute_Dn(np.ones(shape))
 
 
 def test_runtime_warning_threshold(monkeypatch):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from permlim import (DensitySource, RefinementWarning, SpectralGapError,
-                     SpectralGapWarning, balance_fixed_point, bridge_source,
-                     centered_nystrom, compute_Dn, cosine_source,
-                     fredholm_limit, gamma0, mccullagh_estimate,
-                     quadratic_cost, sample_kernel, solve_potential,
-                     tabulated_source)
+                     SpectralGapWarning, absolute_cost, balance_fixed_point,
+                     bridge_source, centered_nystrom, compute_Dn,
+                     cosine_source, fredholm_limit, gamma0,
+                     mccullagh_estimate, quadratic_cost, sample_kernel,
+                     solve_potential, tabulated_source)
 
 
 def _continuum_reference(beta, m=64):
@@ -90,6 +90,9 @@ def test_mccullagh_identity_matrix_fails_gap():
 def test_mccullagh_requires_doubly_stochastic():
     with pytest.raises(ValueError, match="doubly stochastic"):
         mccullagh_estimate(np.array([[0.9, 0.2], [0.2, 0.9]]))
+    for shape in ((2, 3), (4,)):
+        with pytest.raises(ValueError, match="square"):
+            mccullagh_estimate(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -178,14 +181,15 @@ def test_fredholm_eigenvalue_at_or_above_one_fails():
         fredholm_limit(flat3, 32)
 
 
+@pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning")
 def test_fredholm_refinement_warning():
-    rng = np.random.default_rng(11)
-    T = rng.uniform(0.5, 1.5, (5, 5))
-    src = tabulated_source(0.5 * (T + T.T))
+    # the kink of beta |x - y| slows the Nystrom limit to algebraic
+    # convergence: the m = 32 and m = 64 values differ by about 2e-3
+    src = bridge_source(solve_potential(absolute_cost(3.0), m=64))
     with pytest.warns(RefinementWarning):
-        report = fredholm_limit(src, 32, refinement_tol=1e-14)
+        report = fredholm_limit(src, 32)
     assert not report.converged
-    assert report.refinement_gap > 1e-14
+    assert report.refinement_gap > 1e-5
 
 
 def test_fredholm_argument_checks(const_source):
@@ -224,7 +228,7 @@ def _cosine_sum_source(eps, terms=150):
         cy = np.cos(math.pi * np.outer(y, k))
         return 1.0 + 2.0 * eps * (cx @ cy.T)
 
-    return DensitySource("synthetic-cosine", rho)
+    return DensitySource(rho)
 
 
 def test_fredholm_large_value_does_not_underflow():
