@@ -26,8 +26,7 @@ from .errors import (BalanceError, CapExceededError, ConfigError,
                      SingularSystemError, SmoothnessWarning, SpectralGapError,
                      SpectralGapWarning)
 from .grid import (KernelMatrix, RiemannReport, grid_nodes, load_matrix,
-                   norm_2n, norm_inf, riemann_correction_check, sample_kernel,
-                   save_matrix)
+                   norm_2n, norm_inf, riemann_correction_check, sample_kernel)
 from .lab import (BalanceStudyRecord, ConvergenceRecord, RunConfig, fit_rate,
                   load_config, run_balance_study, run_converge,
                   run_solve_bridge, run_validate_cost)

@@ -16,6 +16,10 @@ The solver discretises the integral by the m-point Gauss-Legendre rule of
 The same rule serves ``gamma0``, the off-node extension of the potential
 and the Nystrom matrix of :mod:`permlim.spectral`; for a smooth cost every
 one of them converges exponentially in m.
+
+The solver's Gibbs matrix and every sampled density are one block fill,
+:class:`DensitySource`, which reads c on and above the diagonal only: the
+cost must be symmetric, and :mod:`permlim.lab` checks that before a solve.
 """
 
 from __future__ import annotations
@@ -106,6 +110,10 @@ def solve_potential(
     is the doubly stochastic defect max_i |exp(t_i - a_i) - 1| where t is
     the undamped update target. When a step increases the residual the
     damping factor is halved, down to 1/16.
+
+    The Gibbs matrix exp(-c) is the :class:`DensitySource` fill at a zero
+    potential: c is read on and above the diagonal only, as the sampler
+    reads it, and a non-finite cost raises ValueError before exp runs.
     """
     if m < MIN_NODES:
         raise ValueError(f"m must be >= {MIN_NODES}")
@@ -121,27 +129,16 @@ def solve_potential(
             SmoothnessWarning, stacklevel=2)
 
     nodes, weights = gauss_legendre(m)
-    G = np.empty((m, m))  # exp(-c), filled _BLOCK rows at a time in place
-    c_min, c_max = math.inf, -math.inf
-    for s in range(0, m, _BLOCK):
-        block = G[s:s + _BLOCK]
-        with np.errstate(all="ignore"):  # non-finite values are rejected below
-            block[...] = cost.evaluator(nodes[s:s + _BLOCK, None],
-                                        nodes[None, :])
-        if not np.isfinite(block).all():
-            raise ValueError("cost evaluates to non-finite values on the grid")
-        c_min = min(c_min, float(block.min()))
-        c_max = max(c_max, float(block.max()))
-        np.negative(block, out=block)
-        np.exp(block, out=block)  # c >= 0 so entries lie in (0, 1]
+    G = DensitySource(_cost_block(cost), np.zeros_like)(nodes)  # exp(-c)
+    log_min, log_max = math.log(G.min()), math.log(G.max())  # -max c, -min c
 
     a = np.zeros(m)
     theta = damping
     trace: list[float] = []
     prev_residual = math.inf
     for it in range(1, max_iter + 1):
-        _guard_range("potential update", -c_max - float(a.max()),
-                     -c_min - float(a.min()))
+        _guard_range("potential update", log_min - float(a.max()),
+                     log_max - float(a.min()))
         t = np.log(G @ (weights * np.exp(-a)))
         residual = float(np.abs(np.exp(t - a) - 1.0).max())
         trace.append(residual)
@@ -170,9 +167,7 @@ def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:
     if flat.min() < 0.0 or flat.max() > 1.0:
         raise ValueError("potential arguments must lie in [0,1]")
     a = solution.a_values
-    C = np.asarray(
-        solution.cost.evaluator(flat[:, None], solution.nodes[None, :]),
-        dtype=float)
+    C = np.asarray(_cost_block(solution.cost)(flat, solution.nodes), float)
     _guard_range("potential", -float(C.max()) - float(a.max()),
                  -float(C.min()) - float(a.min()))
     a_x = np.log(np.exp(-C) @ (solution.weights * np.exp(-a)))
@@ -194,14 +189,14 @@ class DensitySource:
     the source is rho = exp(-c(x, y) - a(x) - a(y)) with a = potential(t)
     evaluated once per call.
 
-    Called on ascending nodes t, the source fills one n x n matrix
-    block-row by block-row, _BLOCK rows at a time. Each block row is
-    evaluated from the diagonal rightwards only, so every entry is
-    rho(t_min, t_max), and is mirrored into the lower triangle: the
-    returned matrix rho(t_i, t_j) is exactly symmetric, and no n x n
-    temporary is made. A Gibbs block is negated, shifted by the potential
-    and exponentiated in place, in the order -c - a_i - a_j; an exponent
-    beyond +/-700 raises OverflowGuardError before exp runs on its block.
+    Called on ascending nodes t, the source fills one n x n matrix _BLOCK
+    rows at a time, each block row from the diagonal rightwards only, so
+    ``density`` (c for a Gibbs source) is read at (t_min, t_max) only, and
+    mirrors it into the lower triangle: the result is exactly symmetric,
+    and no n x n temporary is made. A Gibbs block is negated, shifted and
+    exponentiated in place, in the order -c - a_i - a_j; a non-finite
+    exponent raises ValueError, and one beyond +/-700 OverflowGuardError,
+    before exp runs on its block.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -218,9 +213,10 @@ class DensitySource:
             if a is None:
                 row[...] = self.density(t[s:e], t[s:])
             else:
-                np.negative(self.density(t[s:e], t[s:]), out=row)
-                row -= a[s:e, None]
-                row -= a[None, s:]
+                with np.errstate(all="ignore"):  # _guard_range rejects nan/inf
+                    np.negative(self.density(t[s:e], t[s:]), out=row)
+                    row -= a[s:e, None]
+                    row -= a[None, s:]
                 _guard_range("density", float(row.min()), float(row.max()))
                 np.exp(row, out=row)
             diag = row[:, :e - s]
@@ -230,11 +226,10 @@ class DensitySource:
 
 
 def bridge_source(solution: PotentialSolution) -> DensitySource:
-    """rho(x, y) = exp(-c(x, y) - a(x) - a(y)) from a converged potential."""
-
-    return DensitySource(
-        lambda x, y: solution.cost.evaluator(x[:, None], y[None, :]),
-        lambda t: evaluate_potential(solution, t))
+    """rho(x, y) = exp(-c(x, y) - a(x) - a(y)) from a converged potential;
+    c is read on and above the diagonal, as solve_potential reads it."""
+    return DensitySource(_cost_block(solution.cost),
+                         lambda t: evaluate_potential(solution, t))
 
 
 def constant_source() -> DensitySource:
@@ -286,8 +281,15 @@ def max_asymmetry(M: np.ndarray) -> float:
     return worst
 
 
+def _cost_block(cost: CostFunction):
+    """The density of a Gibbs source: the block c(x_i, y_j)."""
+    return lambda x, y: cost.evaluator(x[:, None], y[None, :])
+
+
 def _guard_range(what: str, lo: float, hi: float) -> None:
-    """Reject an exponent range [lo, hi] that exp would overflow or flush."""
+    """Reject an exponent range [lo, hi] not finite or beyond +/-_EXP_GUARD."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cost evaluates to non-finite values on the grid")
     if max(abs(lo), abs(hi)) > _EXP_GUARD:
         raise OverflowGuardError(
             f"{what} exponent range [{lo:.1f}, {hi:.1f}] exceeds "

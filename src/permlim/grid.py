@@ -70,7 +70,6 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
     """
     with np.errstate(all="ignore"):  # non-finite values are rejected below
         K = np.asarray(source(grid_nodes(n)), dtype=float)
-    with np.errstate(all="ignore"):
         rows = K.sum(axis=1)
     # A finite row sum means a finite row, so only a kernel with an infinite
     # or nan row sum (or one that overflows) is scanned entry by entry.
@@ -122,22 +121,9 @@ def riemann_correction_check(f, integral: float, n_list) -> RiemannReport:
     return RiemannReport(n_list, tuple(residuals), tuple(scaled))
 
 
-def save_matrix(path, K) -> None:
-    """Write a square matrix: first line n, then n whitespace-separated rows.
-
-    Values are written with repr so a load round-trip is bit exact.
-    """
-    entries = np.asarray(K, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("save_matrix expects a square matrix")
-    with open(path, "w") as fh:
-        fh.write(f"{entries.shape[0]}\n")
-        for row in entries:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def load_matrix(path) -> np.ndarray:
-    """Read the matrix format written by :func:`save_matrix`."""
+    """Read a square matrix file: first line n, then its n * n values,
+    whitespace-separated, row by row."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:

@@ -174,9 +174,11 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)  # % is literal
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:  # a ParsingError spans several lines
         raise ConfigError(" ".join(str(exc).split())) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     for section in parser.sections():
@@ -219,9 +221,7 @@ def run_solve_bridge(config: RunConfig) -> bridge_mod.PotentialSolution:
     if config.cost is None:
         raise ConfigError("solve-bridge requires a [cost] section")
     _require_csv_path(config, "solve-bridge")
-    solution = bridge_mod.solve_potential(
-        config.cost, m=config.bridge_m, tol=config.bridge_tol,
-        max_iter=config.bridge_max_iter, damping=config.bridge_damping)
+    solution = _solve(config)
     with open(config.csv_path, "w") as fh:
         fh.write("node,weight,a_value\n")
         for row in zip(solution.nodes, solution.weights, solution.a_values):
@@ -378,9 +378,7 @@ def _build_source(config: RunConfig, subcommand: str):
         return config.kernel_source, None
     if config.cost is None:
         raise ConfigError("config needs a [cost] or a [kernel] section")
-    solution = bridge_mod.solve_potential(
-        config.cost, m=config.bridge_m, tol=config.bridge_tol,
-        max_iter=config.bridge_max_iter, damping=config.bridge_damping)
+    solution = _solve(config)
     return bridge_mod.bridge_source(solution), solution
 
 
@@ -448,6 +446,21 @@ def _require_csv_path(config: RunConfig, subcommand: str) -> None:
     directory = os.path.dirname(os.path.abspath(config.csv_path))
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory} does not exist")
+
+
+def _solve(config: RunConfig) -> bridge_mod.PotentialSolution:
+    """The potential of the configured cost, once it passes validate_cost's
+    symmetry check: the solve and the sampler read c above the diagonal."""
+    report = cost_mod.validate_cost(config.cost, config.validate_grid,
+                                    config.validate_tol)
+    symmetry = next(c for c in report.checks if c.name == "symmetry")
+    if symmetry.status == "fail":
+        raise ConfigError(f"cost {config.cost.label} is not symmetric: max "
+                          f"|c(x, y) - c(y, x)| = {symmetry.max_violation:.3e}"
+                          f" exceeds validate_tol {config.validate_tol:g}")
+    return bridge_mod.solve_potential(
+        config.cost, m=config.bridge_m, tol=config.bridge_tol,
+        max_iter=config.bridge_max_iter, damping=config.bridge_damping)
 
 
 def _write_csv(csv_path, record_type, records, aborted_at) -> None:

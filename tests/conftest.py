@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from permlim import (bridge_source, constant_source, cosine_source,
@@ -43,3 +44,17 @@ def cosine_half():
 @pytest.fixture(scope="session")
 def const_source():
     return constant_source()
+
+
+@pytest.fixture(scope="session")
+def write_matrix():
+    """Writer of the matrix file format that ``load_matrix`` reads: first
+    line n, then n whitespace-separated rows, each value written with repr
+    so a load round-trip is bit exact."""
+    def write(path, K):
+        entries = np.asarray(K, dtype=float)
+        with open(path, "w") as fh:
+            fh.write(f"{entries.shape[0]}\n")
+            for row in entries:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    return write

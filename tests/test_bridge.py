@@ -141,6 +141,50 @@ def test_non_finite_cost_in_last_block_rejected(bad):
         solve_potential(cost, m=300)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_cost_off_the_nodes_rejected(bad, quad_solution):
+    # bad only at (1, 1), a grid point the potential's evaluation never sees
+    cost = CostFunction(
+        lambda x, y: np.where((x == 1.0) & (y == 1.0), bad, (x - y) ** 2),
+        "C2", "corner")
+    source = bridge_source(dataclasses.replace(quad_solution, cost=cost))
+    with pytest.raises(ValueError, match="non-finite values on the grid"):
+        sample_kernel(source, 4)
+
+
+def test_potential_solve_and_sampler_read_one_upper_triangle():
+    # The solve fills exp(-c) as the sampler fills rho, on and above the
+    # diagonal only: at most m (m + 128) / 2 cost points, not m^2.
+    m = 300
+    points = []
+
+    def counted(x, y):
+        value = (x - y) ** 2
+        points.append(value.size)
+        return value
+
+    sol = solve_potential(CostFunction(counted, "C2", "counted"), m=m)
+    assert sum(points) <= m * (m + 128) // 2
+    # Both read c(t_min, t_max): on a cost that is not symmetric, the solve
+    # matches the cost mirrored from above the diagonal bit for bit, and the
+    # sampler's rho at the nodes is exp(-c - a_i - a_j) above the diagonal,
+    # mirrored.
+    def asym(x, y):
+        return (x - y) ** 2 + 0.5 * x
+
+    upper = CostFunction(lambda x, y: asym(np.minimum(x, y), np.maximum(x, y)),
+                         "C2", "upper")
+    sol = solve_potential(CostFunction(asym, "C2", "asym"), m=m)
+    np.testing.assert_array_equal(
+        sol.a_values, solve_potential(upper, m=m).a_values)
+    x = sol.nodes
+    a = evaluate_potential(sol, x)
+    expected = np.triu(np.exp(-upper.evaluator(x[:, None], x[None, :])
+                              - a[:, None] - a[None, :]))
+    expected += np.triu(expected, 1).T
+    np.testing.assert_array_equal(bridge_source(sol)(x), expected)
+
+
 def test_potential_solve_holds_one_gibbs_matrix():
     # The Gibbs matrix is filled in place block row by block row: 1.16 m^2
     # doubles at the peak, against 3.0 with whole-matrix C, -C and exp(-C).

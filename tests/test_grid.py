@@ -7,7 +7,7 @@ from permlim import (KernelMatrix, balance_fixed_point, bridge_source,
                      centered_nystrom, compute_Dn, constant_source,
                      cosine_source, evaluate_potential, gauss_legendre,
                      grid_nodes, load_matrix, norm_2n, norm_inf,
-                     riemann_correction_check, sample_kernel, save_matrix,
+                     riemann_correction_check, sample_kernel,
                      tabulated_source)
 from permlim.bridge import _BLOCK
 from permlim.cost import bilinear_interpolant
@@ -136,14 +136,15 @@ def test_kernel_matrix_immutable(const_source):
         K.entries[0, 0] = 2.0
 
 
-def test_kernel_matrix_is_its_read_only_entries(tmp_path, cosine_half):
+def test_kernel_matrix_is_its_read_only_entries(tmp_path, cosine_half,
+                                                write_matrix):
     K = sample_kernel(cosine_half, 9)
     entries = np.asarray(K)
     assert np.shares_memory(entries, K.entries)
     assert not entries.flags.writeable
     assert np.shares_memory(balance_fixed_point(K).kernel, K.entries)
     assert compute_Dn(K).value.hex() == compute_Dn(K.entries).value.hex()
-    save_matrix(tmp_path / "kernel.txt", K)
+    write_matrix(tmp_path / "kernel.txt", K)
     assert np.array_equal(load_matrix(tmp_path / "kernel.txt"), K.entries)
     copied = np.array(K, copy=True)
     assert copied.flags.writeable and not np.shares_memory(copied, K.entries)
@@ -225,10 +226,10 @@ def test_riemann_correction_argument_checks():
         riemann_correction_check(lambda t: t, 0.5, [0, 4])
 
 
-def test_matrix_file_roundtrip(tmp_path, cosine_half):
+def test_matrix_file_roundtrip(tmp_path, cosine_half, write_matrix):
     K = sample_kernel(cosine_half, 5)
     path = tmp_path / "kernel.txt"
-    save_matrix(path, K)
+    write_matrix(path, K)
     loaded = load_matrix(path)
     assert np.array_equal(loaded, K.entries)
 
@@ -242,5 +243,3 @@ def test_matrix_file_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_matrix(empty)
-    with pytest.raises(ValueError):
-        save_matrix(tmp_path / "x.txt", np.ones((2, 3)))

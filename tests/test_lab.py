@@ -10,8 +10,7 @@ import permlim
 import permlim.lab as lab_module
 from permlim import (BalanceError, ConfigError, RunConfig, SpectralGapWarning,
                      fit_rate, load_config, load_matrix, run_balance_study,
-                     run_converge, run_solve_bridge, run_validate_cost,
-                     save_matrix)
+                     run_converge, run_solve_bridge, run_validate_cost)
 from permlim.cli import main
 
 CONVERGE_HEADER = ("n,D_n,D_n_hat,L_n_scaled,mccullagh,fredholm_limit,err_Dn,"
@@ -174,8 +173,8 @@ def test_load_config_rejects(tmp_path, text, match):
         load_config(_write_config(tmp_path / "c.ini", text))
 
 
-def test_load_config_percent_in_path_is_literal(tmp_path):
-    save_matrix(tmp_path / "t%1.txt", np.array([[0.0, 1.0], [1.0, 0.0]]))
+def test_load_config_percent_in_path_is_literal(tmp_path, write_matrix):
+    write_matrix(tmp_path / "t%1.txt", np.array([[0.0, 1.0], [1.0, 0.0]]))
     cfg = load_config(_write_config(tmp_path / "c.ini", """
 [cost]
 family = tabulated
@@ -535,9 +534,9 @@ csv_path = {tmp_path / "o.csv"}
     assert len(err) == 1 and "non-finite" in err[0]
 
 
-def test_cli_overflowing_kernel_table_maps_to_validation_code(tmp_path,
-                                                             capsys):
-    save_matrix(tmp_path / "k.txt", np.full((3, 3), 1e308))
+def test_cli_overflowing_kernel_table_maps_to_validation_code(
+        tmp_path, capsys, write_matrix):
+    write_matrix(tmp_path / "k.txt", np.full((3, 3), 1e308))
     cfg = _write_config(tmp_path / "c.ini", f"""
 [kernel]
 kind = tabulated
@@ -556,10 +555,11 @@ csv_path = {tmp_path / "o.csv"}
     assert len(err) == 1 and "row sums overflow" in err[0]
 
 
-def test_cli_asymmetric_kernel_table_maps_to_config_code(tmp_path, capsys):
+def test_cli_asymmetric_kernel_table_maps_to_config_code(tmp_path, capsys,
+                                                        write_matrix):
     table = np.ones((5, 5))
     table[0, 4], table[4, 0] = 1.6, 0.4
-    save_matrix(tmp_path / "k.txt", table)
+    write_matrix(tmp_path / "k.txt", table)
     cfg = _write_config(tmp_path / "c.ini", f"""
 [kernel]
 kind = tabulated
@@ -606,10 +606,11 @@ csv_path = {tmp_path / "missing" / "o.csv"}
 
 @pytest.mark.parametrize("section", ["[cost]\nfamily", "[kernel]\nkind"],
                          ids=["cost", "kernel"])
-def test_cli_nonfinite_table_maps_to_config_code(tmp_path, capsys, section):
+def test_cli_nonfinite_table_maps_to_config_code(tmp_path, capsys, section,
+                                                 write_matrix):
     table = np.ones((3, 3))
     table[1, 1] = math.nan
-    save_matrix(tmp_path / "t.txt", table)
+    write_matrix(tmp_path / "t.txt", table)
     cfg = _write_config(tmp_path / "c.ini", f"""
 {section} = tabulated
 path = t.txt
@@ -625,6 +626,52 @@ csv_path = {tmp_path / "o.csv"}
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("permlim: ")
     assert "finite" in err[0]
+
+
+@pytest.mark.parametrize("family", ["expression", "table"])
+def test_cli_asymmetric_cost_rejected_before_any_solve(
+        tmp_path, capsys, monkeypatch, write_matrix, family):
+    # The potential solve and the sampler read c on and above the diagonal
+    # only, so a cost that validate-cost finds asymmetric never reaches them.
+    table = np.ones((5, 5))
+    table[0, 4], table[4, 0] = 1.6, 0.4
+    write_matrix(tmp_path / "t.txt", table)
+    cost = {"expression": "family = custom-expression\n"
+                          "expression = (x - y)**2 + 0.5 * x",
+            "table": "family = tabulated\npath = t.txt"}[family]
+    csv = tmp_path / "o.csv"
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[cost]
+{cost}
+
+[study]
+n_list = 2 4
+
+[output]
+csv_path = {csv}
+""")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the potential was solved for an asymmetric cost")
+
+    monkeypatch.setattr(lab_module.bridge_mod, "solve_potential", never)
+    for subcommand in ("solve-bridge", "converge", "balance-study"):
+        assert main([subcommand, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("permlim: ")
+        assert "is not symmetric" in err[0] and "validate_tol" in err[0]
+        assert not csv.exists()
+    assert main(["validate-cost", "--config", cfg]) == 2
+    assert "symmetry: fail" in capsys.readouterr().out
+
+
+def test_cli_non_utf8_config_is_one_line(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_bytes(b"[cost]\n# \xff\xfe\nfamily = quadratic\n")
+    assert main(["validate-cost", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert str(path) in err[0] and "UTF-8" in err[0]
 
 
 _OUTPUT = "[output]\ncsv_path = {csv}\n"
