@@ -91,7 +91,8 @@ class BalanceResult:
 
     @property
     def prod_u_sq(self) -> float:
-        return float(np.prod(self.u * self.u))
+        """prod u_i^2 in long double, rounded to a double once."""
+        return float(np.prod(np.square(self.u, dtype=np.longdouble)))
 
 
 def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceResult:

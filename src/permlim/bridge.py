@@ -12,7 +12,8 @@ into the marginal integral yields exp(-2 a(x)) = 1 for all x, forcing a = 0,
 which solves nothing for a nonconstant cost).
 
 The solver discretises the integral by the m-point Gauss-Legendre rule of
-:func:`gauss_legendre` and runs a damped fixed-point iteration in log space.
+:func:`gauss_legendre` and iterates in log space, with a step that removes
+the constant shift of the potential exactly and depth-1 Anderson mixing.
 The same rule serves ``gamma0``, the off-node extension of the potential
 and the Nystrom matrix of :mod:`permlim.spectral`; for a smooth cost every
 one of them converges exponentially in m.
@@ -40,19 +41,32 @@ _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
 _BLOCK = 128
 
 MIN_NODES = 8
+_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013,
+             11.791534439014281, 14.930917708487787)  # j_{0,k}, k = 1..5
 
 
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-point Gauss-Legendre rule on [0, 1]: ascending nodes, weights.
 
     Exact for polynomials of degree <= 2m - 1. The roots of P_m are found by
-    Newton's method on the three-term recurrence from Tricomi's initial
-    guesses, O(m^2) work in all; the weight of root x is
-    2 / ((1 - x^2) P_m'(x)^2) on [-1, 1], halved on [0, 1].
+    Newton's method on the three-term recurrence, O(m^2) work in all. The
+    initial guesses are Olver's Bessel-zero asymptotics for the third of
+    the roots nearest each end of [-1, 1] and Tricomi's for the others
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). The weight of root x
+    is 2 / ((1 - x^2) P_m'(x)^2) on [-1, 1], halved on [0, 1].
     """
     k = np.arange(1, (m + 1) // 2 + 1)  # roots in [0, 1), largest first
-    x = (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(math.pi * (k - 0.25) / (m + 0.5))
-    for _ in range(10):  # 3 or 4 steps, checked for m = 2..400 and to 4096
+    rho = m + 0.5
+    x = (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(math.pi * (k - 0.25) / rho)
+    psi = _bessel_j0_zeros(m // 3) / rho
+    # cos / sin, not tan: np.tan's first call adds 0.2-0.3 MB of resident
+    # pages to the process, while cos and sin share theirs
+    cot = np.cos(psi) / np.sin(psi)
+    theta = psi + (psi * cot - 1.0) / (8.0 * rho * rho * psi)
+    x[:psi.size] = np.cos(theta)
+    # recurrence passes: 3 (4 at m = 2) below m = 22, 2 up to m = 1800, 1
+    # from m = 1900; checked for m = 2..1200 and every 100 up to 4096
+    for _ in range(10):
         p0, p1 = np.ones_like(x), x  # P_{j-1}(x), P_j(x)
         for j in range(2, m + 1):
             p0, p1 = p1, (2.0 - 1.0 / j) * x * p1 - (1.0 - 1.0 / j) * p0
@@ -65,6 +79,18 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     mirror = slice(m % 2, None)  # an odd m has its middle root once
     return (np.concatenate([0.5 * (1.0 - x), 0.5 * (1.0 + x[::-1][mirror])]),
             np.concatenate([w, w[::-1][mirror]]))
+
+
+def _bessel_j0_zeros(n: int) -> np.ndarray:
+    """The first n positive zeros of J_0: a table of five, then McMahon's
+    expansion in 1 / (8 (k - 1/4) pi), within 8e-12 from k = 6 on."""
+    b = (np.arange(1, n + 1) - 0.25) * math.pi
+    r = 1.0 / (8.0 * b)
+    r2 = r * r
+    j = b + r * (1.0 + r2 * (-124.0 / 3.0 + r2 * (120928.0 / 15.0 + r2 * (
+        -401743168.0 / 105.0 + r2 * 1071187749376.0 / 315.0))))
+    j[:5] = _J0_ZEROS[:n]
+    return j
 
 
 @dataclass(frozen=True)
@@ -105,11 +131,22 @@ def solve_potential(
 ) -> PotentialSolution:
     """Solve the potential equation on m Gauss-Legendre nodes.
 
-    Iterates a <- (1 - theta) a + theta log(sum_j w_j exp(-c(x_i, y_j) - a_j))
-    with the Gauss-Legendre weights w_j, starting from a = 0. The residual
-    is the doubly stochastic defect max_i |exp(t_i - a_i) - 1| where t is
-    the undamped update target. When a step increases the residual the
-    damping factor is halved, down to 1/16.
+    Starting from a = 0, each iteration forms the target
+    t = log(sum_j w_j exp(-c(x_i, y_j) - a_j)) with the Gauss-Legendre
+    weights w_j. The residual is the doubly stochastic defect
+    max_i |exp(t_i - a_i) - 1|.
+
+    Linearised, t moves by -P da, where P is self-adjoint in the weighted
+    inner product and keeps the weighted mean <v>_w = sum_j w_j v_j. So a
+    shift a -> a + s moves t - a by -2s, and the step
+    f = (t - a) - <t - a>_w / 2 removes it exactly; its fixed points are
+    those of t = a. The damped step's image g = a + theta f is mixed with
+    the previous one by depth-1 Anderson acceleration (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011): with df = f - f_prev and dg = g - g_prev,
+    a <- g - (df.f / df.df) dg, plain dot products and no LAPACK call.
+    theta starts at ``damping``; when a step increases the residual it is
+    halved, down to 1/16, and the history is dropped, so the next step is
+    a <- g.
 
     The Gibbs matrix exp(-c) is the :class:`DensitySource` fill at a zero
     potential: c is read on and above the diagonal only, as the sampler
@@ -134,19 +171,33 @@ def solve_potential(
 
     a = np.zeros(m)
     theta = damping
+    f_prev = g_prev = None  # the Anderson history: last step and its image
     trace: list[float] = []
     prev_residual = math.inf
     for it in range(1, max_iter + 1):
         _guard_range("potential update", log_min - float(a.max()),
                      log_max - float(a.min()))
-        t = np.log(G @ (weights * np.exp(-a)))
-        residual = float(np.abs(np.exp(t - a) - 1.0).max())
+        f = np.log(G @ (weights * np.exp(-a))) - a  # t - a
+        residual = float(np.abs(np.exp(f) - 1.0).max())
         trace.append(residual)
         if residual <= tol:
             return PotentialSolution(cost, nodes, weights, a, tuple(trace), it)
         if residual > prev_residual and theta > 1.0 / 16.0:
             theta = max(theta / 2.0, 1.0 / 16.0)
-        a = (1.0 - theta) * a + theta * t
+            f_prev = g_prev = None
+        f -= 0.5 * float(weights @ f)
+        g = a + theta * f  # the image of the damped step
+        a = g
+        if f_prev is not None:
+            # f - f_prev and g - g_prev overwrite the history they replace,
+            # so mixing allocates only the new iterate
+            np.subtract(f, f_prev, out=f_prev)
+            dd = float(f_prev @ f_prev)
+            if dd > 0.0:
+                np.subtract(g, g_prev, out=g_prev)
+                g_prev *= float(f_prev @ f) / dd
+                a = g - g_prev
+        f_prev, g_prev = f, g
         prev_residual = residual
     raise ConvergenceError(
         f"potential iteration did not reach tol={tol:g} in {max_iter} iterations "

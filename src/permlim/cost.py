@@ -226,7 +226,9 @@ def _compile_expression(expr: str) -> Callable:
     code = compile(_FloatConstants(env).visit(tree), "<cost-expression>", "eval")
 
     def ev(x, y):
-        return np.asarray(eval(code, {"__builtins__": {}}, dict(env, x=x, y=y)),
-                          dtype=float)
+        value = np.asarray(eval(code, {"__builtins__": {}}, dict(env, x=x, y=y)),
+                           dtype=float)
+        # an expression without x or y still fills the whole block
+        return np.broadcast_to(value, np.broadcast_shapes(x.shape, y.shape))
 
     return ev

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_scaling_identity_bridge_n100(quad_source):
     K = sample_kernel(quad_source, 100)
     res = balance_fixed_point(K, tol=1e-12)
     assert _identity_residual(K.entries, res.u) <= 1e-11
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is no wider than double here")
+def test_prod_u_sq_is_rounded_once(quad_source):
+    # a double product of the 2n factors was 3.2e-15 off at n = 800
+    res = balance_fixed_point(sample_kernel(quad_source, 800))
+    exact = math.prod(Fraction(float(v)) ** 2 for v in res.u)
+    assert abs(Fraction(res.prod_u_sq) / exact - 1) <= 2.0**-53
 
 
 def test_diagnostics_zero_perturbation(const_source):

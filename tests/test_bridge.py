@@ -49,6 +49,25 @@ def test_gauss_legendre_matches_numpy():
         np.testing.assert_allclose(weights, 0.5 * ref_w, rtol=0, atol=2e-15)
 
 
+def _golub_welsch(m):
+    """The m-point rule on [0, 1] from the eigenvectors of the Jacobi matrix
+    of the Legendre polynomials, independent of the recurrence and Newton."""
+    k = np.arange(1, m)
+    J = np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1)
+    lam, V = np.linalg.eigh(J + J.T)
+    return 0.5 * (lam + 1.0), V[0] ** 2
+
+
+@pytest.mark.parametrize("m", [128, 196, 513, 1024])
+def test_gauss_legendre_matches_golub_welsch(m):
+    # measured at most 3.8e-16 over m = 2..1200; before the Bessel-zero
+    # guesses the weights at m = 191..406 were up to 2.7e-15 off (m = 196)
+    nodes, weights = gauss_legendre(m)
+    ref_x, ref_w = _golub_welsch(m)
+    np.testing.assert_allclose(nodes, ref_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights, ref_w, rtol=0, atol=1e-15)
+
+
 def test_zero_cost_trivial_solution():
     sol = solve_potential(ZERO_COST, m=64)
     assert np.abs(sol.a_values).max() == 0.0
@@ -120,6 +139,24 @@ def test_nonconvergence_error_carries_diagnostics(quad_cost):
         solve_potential(quad_cost, m=64, tol=1e-14, max_iter=1)
     assert exc_info.value.iterations == 1
     assert exc_info.value.residual > 0
+
+
+@pytest.mark.parametrize("beta, m", [(1.0, 64), (1.0, 400), (4.0, 400)])
+def test_tol_below_rounding_stops_cleanly(beta, m):
+    # the iterate stops changing, so two steps agree to the last bit and
+    # the mixing must not divide by their zero difference
+    try:
+        solve_potential(quadratic_cost(beta), m=m, tol=1e-20, max_iter=100)
+    except ConvergenceError:
+        pass
+
+
+def test_constant_shift_removed_in_one_step():
+    # for c = 1/2 the first target is t = -1/2 at a = 0, and the step
+    # (t - a) - <t - a>_w / 2 lands on the solution a = -1/4 at once
+    sol = solve_potential(expression_cost("0.5"), m=64)
+    assert sol.iterations == 2
+    np.testing.assert_allclose(sol.a_values, -0.25, rtol=0, atol=1e-15)
 
 
 def test_overflow_guard_on_strong_cost():
@@ -208,6 +245,53 @@ def test_solver_argument_checks(quad_cost):
             solve_potential(quad_cost, m=16, tol=tol)
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
         solve_potential(quad_cost, m=16, max_iter=0)
+
+
+def _damped_half_reference(cost, m):
+    """The potential by the plain iteration a <- (a + t) / 2 on the full
+    grid exp(-c), to a residual of 1e-13."""
+    x, w = gauss_legendre(m)
+    G = np.exp(-cost.evaluator(x[:, None], x[None, :]))
+    a = np.zeros(m)
+    for _ in range(1000):
+        t = np.log(G @ (w * np.exp(-a)))
+        if np.abs(np.exp(t - a) - 1.0).max() <= 1e-13:
+            return a
+        a = 0.5 * (a + t)
+    raise AssertionError("reference iteration did not converge")
+
+
+# iteration counts of the damped fixed point a <- (1 - theta) a + theta t
+# that solve_potential ran before it removed the constant shift and mixed
+# steps; the solver must not need more
+@pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning")
+@pytest.mark.parametrize("cost, before", [
+    (quadratic_cost(0.5), 15), (quadratic_cost(2.0), 27),
+    (quadratic_cost(16.0), 33), (quadratic_cost(64.0), 33),
+    (absolute_cost(1.0), 33), (absolute_cost(16.0), 32),
+    (expression_cost("10*sin(3*x)*sin(3*y)"), 114),
+    (expression_cost("3*x*y"), 56), (expression_cost("-8*x*y"), 35),
+    (expression_cost("(x-y)**2 + 0.5*(x+y)**2"), 34),
+], ids=lambda v: v.label if isinstance(v, CostFunction) else str(v))
+def test_solver_needs_no_more_iterations(cost, before):
+    sol = solve_potential(cost, m=400)
+    assert sol.iterations <= before  # measured 6-24
+    assert _marginal_residual(sol) <= 1e-12
+    reference = _damped_half_reference(cost, 400)
+    assert np.abs(sol.a_values - reference).max() <= 2e-12  # measured 1.7e-12
+
+
+def test_halving_drops_the_mixing_history():
+    # measured 80 (the damped fixed point took 243); mixing across a
+    # halving of theta, with the secant of the larger theta, took 280
+    sol = solve_potential(expression_cost("10*sin(3*x)*sin(3*y)"), m=400,
+                          damping=0.5)
+    assert sol.iterations <= 243
+
+
+def test_solver_iterations_at_large_m():
+    # measured 7; the damped fixed point took 27
+    assert solve_potential(quadratic_cost(2.0), m=3200).iterations <= 8
 
 
 @pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning")

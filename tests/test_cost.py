@@ -132,6 +132,21 @@ def test_validate_diagonal_and_reflection_warn_only():
     assert not report.failed
 
 
+def test_expression_without_x_or_y_fills_the_block():
+    t = np.linspace(0.0, 1.0, 21)
+    X, Y = t[:, None], t[None, :]
+    np.testing.assert_array_equal(expression_cost("0.5")(X, Y),
+                                  np.full((21, 21), 0.5))
+    checks = _by_name(validate_cost(expression_cost("0.5"), 20, 1e-9))
+    assert [c.status for c in checks.values()] == [
+        "pass", "pass", "pass", "warn", "pass"]
+    assert checks["diagonal"].max_violation == 0.5
+    # an x-only cost is read on the whole grid, its diagonal included
+    checks = _by_name(validate_cost(expression_cost("x"), 20, 1e-9))
+    assert checks["symmetry"].max_violation == 1.0
+    assert checks["diagonal"].max_violation == 1.0
+
+
 def test_validate_nonfinite_fails():
     c = expression_cost("1 / (x + y)")
     report = validate_cost(c, 10, 1e-9)

@@ -334,6 +334,41 @@ csv_path = {csv}
     assert "fitted rate alpha" in capsys.readouterr().out
 
 
+def test_cli_constant_cost_is_the_constant_kernel(tmp_path, capsys,
+                                                  constant_converge_cfg):
+    # c = 0.5 gives a = -1/4, gamma0 = 1/2 and rho = 1
+    csv = tmp_path / "const.csv"
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[cost]
+family = custom-expression
+expression = 0.5
+
+[bridge]
+m = 64
+
+[study]
+n_list = 2 4 8
+nystrom_m = 64
+
+[output]
+csv_path = {csv}
+""")
+    assert main(["validate-cost", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "diagonal: warn" in out and out.count(": pass") == 4
+    assert main(["solve-bridge", "--config", cfg]) == 0
+    values = [float(ln.split(",")[2]) for ln in csv.read_text().splitlines()[1:]]
+    np.testing.assert_allclose(values, -0.25, rtol=0, atol=1e-15)
+    assert float(capsys.readouterr().out.split("gamma0 = ")[1].split()[0]) \
+        == pytest.approx(0.5, abs=1e-15)
+    expected = run_converge(load_config(constant_converge_cfg))
+    for r, e in zip(run_converge(load_config(cfg)), expected, strict=True):
+        assert r.D_n == pytest.approx(e.D_n, abs=1e-14)
+        assert r.L_n_scaled == pytest.approx(e.D_n, abs=1e-14)
+        assert r.fredholm_limit == pytest.approx(e.fredholm_limit, abs=1e-14)
+    capsys.readouterr()
+
+
 def test_converge_rejects_n_above_cap(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.ini", f"""
 [kernel]
