@@ -1,28 +1,22 @@
 """Doubly stochastic balancing of sampled kernels.
 
-Writing R for the normalised kernel (entries / n) and q for its row-sum
-defect, the perturbation h with u = 1 + h balances the kernel when
+A positive symmetric kernel K has exactly one positive u with
+u * (K u) / n = 1 (entrywise product; Sinkhorn, 1964; Knight, 2008), and
+that identity, not a second solver, is what checks the answer. With
+u = exp(-a) it is the potential equation of :mod:`permlim.bridge` with G = K
+and weights 1/n, and the same scaling routine solves it, one product with
+K per iteration.
 
-    (I + R) h = -q - h*q - h*(R h)      (* = entrywise product)
+The perturbative theory writes u = 1 + h and needs I + R, R = K / n,
+invertible; under the spectral gap it is symmetric positive definite. A
+conjugate-gradient run (Hestenes and Stiefel, 1952) of at most 12 steps on
+a fixed generic vector checks that up front, and the iteration stops if h
+leaves the ball norm_2n(h) <= 0.5 where the theory holds.
 
-because the left-over F(h) = (I + R)h + q + h*q + h*(R h) is exactly the
-row-sum deviation u * (R u) - 1 of the rescaled matrix. The solver is a
-fixed-point iteration on that equation. A positive kernel has exactly one
-positive u with u * (R u) = 1 (Sinkhorn, 1964; Knight, 2008), so that
-identity, not a second solver, is what checks the answer.
-
-The fixed point needs (I + R) to be invertible; under the spectral gap it
-is symmetric positive definite, so every solve with it is a matrix-free
-conjugate-gradient run (Hestenes and Stiefel, 1952) that only multiplies
-by R. The same run, on a fixed generic vector for a few steps, is the
-up-front singularity check.
-
-R is never formed: every product with it is the matvec (K @ v) / n on the
-caller's read-only entries, the row sums of K give q, symmetry is checked
-over tiles of the upper triangle, and the balanced matrix is formed only
-when it is read, as are the size measures of h that the studies report.
-Beyond the kernel itself, balancing allocates vectors and small tiles,
-not n x n arrays.
+R is never formed, symmetry is checked over tiles of the upper triangle,
+and the balanced matrix and the size measures of h are formed only when
+read: beyond the kernel, balancing allocates vectors and small tiles, not
+n x n arrays.
 """
 
 from __future__ import annotations
@@ -32,13 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import max_asymmetry
+from .bridge import _scale, max_asymmetry
 from .errors import BalanceError, SingularSystemError
 from .grid import norm_2n, norm_inf
 
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
 _SYM_TOL = 1e-12
-_CG_RTOL = 1e-15  # conjugate gradients stop at this relative residual
+_CHECK_RTOL = 1e-15  # the singularity check stops at this relative residual
 _CHECK_STEPS = 12  # cap of the singularity check; measured kernels stop in 2-7
 
 
@@ -50,9 +44,9 @@ class BalanceResult:
     copy. ``balanced[i, j] = u_i * kernel[i, j] * u_j`` is computed on
     demand, as a new array on every access, so the result itself holds no
     second n x n array; dividing it by n gives the doubly stochastic
-    matrix whose permanent the limit theory studies. ``residual`` is the
-    stopping-rule value norm_2n(F(h)), the normalised 2-norm of the row-sum
-    deviation u*(R u) - 1.
+    matrix whose permanent the limit theory studies. ``iterations`` counts
+    the products with the kernel, and ``residual`` is the sup-norm row-sum
+    defect max_i |u_i (K u)_i / n - 1| at which the iteration stopped.
 
     The size measures of h are computed on access too. Across grid sizes
     they scale as norm_2n_h = O(1/n), norm_inf_h = O(n^-1/2),
@@ -96,55 +90,49 @@ class BalanceResult:
 
 
 def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceResult:
-    """Balance by iterating h <- h - (I+R)^(-1) F(h) from h = 0.
+    """Balance K with the scaling routine of the potential solve.
 
-    Since F(h) = (I + R)h + q + h*q + h*(R h), this is the iteration
-    h <- (I+R)^(-1) (-q - h*q - h*(R h)) written as a correction by the
-    residual the stopping rule already computes. Each solve is a conjugate-
-    gradient run on I + R from 0, stopped at a relative residual of 1e-15
-    and after at most n steps. Before the first iteration the same run on a
-    fixed generic vector, capped at 12 steps, checks the invertibility
-    assumption; the solves repeat the check on every search direction.
+    Iterates on exp(a) = K (exp(-a) / n) from a = 0 as
+    :func:`permlim.bridge.solve_potential` does, at damping 1, and returns
+    u = exp(-a). It stops once max_i |u_i (K u)_i / n - 1| <= tol, after at
+    most max_iter products with K.
 
-    The check is one-sided. It raises SingularSystemError when a direction
-    p has p'(I + R)p <= 1e-14 p'p, so I + R is singular or indefinite; a
-    kernel that passes it is not proven to have I + R positive definite.
-
-    Stops when the equation residual satisfies norm_2n(F) <= tol and the
-    row-sum deviation satisfies norm_inf(F) <= 10 tol, so the returned
-    matrix is doubly stochastic in both norms. Aborts if the iterate leaves
-    norm_2n(h) <= 0.5: the contraction argument only holds in a shrinking
-    ball around 0, and outside it log(1 + h_i) may stop being defined.
+    First, a conjugate-gradient run on I + R checks the invertibility
+    assumption. It is one-sided: SingularSystemError means a direction p
+    had p'(I + R)p <= 1e-14 p'p, so I + R is singular or indefinite, but a
+    kernel that passes is not proven positive definite. BalanceError is
+    raised if an iterate leaves norm_2n(h) <= 0.5, outside which the
+    perturbative argument fails and log(1 + h_i) may be undefined.
     """
-    entries, n, q = _prepare(K)
+    entries, n = _prepare(K)
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    _solve(entries, np.random.default_rng(0).standard_normal(n), _CHECK_STEPS)
+    _check_invertible(entries)
 
-    h = np.zeros(n)
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        Rh = entries @ h / n
-        F = h + Rh + q + h * q + h * Rh
-        residual = norm_2n(F)
-        if residual <= tol and norm_inf(F) <= 10.0 * tol:
-            return BalanceResult(n, h, 1.0 + h, entries, it, residual)
-        h = h - _solve(entries, F, n)
-        if norm_2n(h) > _BALL_RADIUS:
+    def ball(a, trace):
+        with np.errstate(over="ignore"):  # an infinite h leaves the ball
+            norm = norm_2n(np.exp(-a) - 1.0)
+        if norm > _BALL_RADIUS:
             raise BalanceError(
                 f"iterate left the ball norm_2n(h) <= {_BALL_RADIUS} at "
-                f"iteration {it} (norm {norm_2n(h):.3f}); the kernel is too far "
-                "from doubly stochastic for the perturbative solver",
-                residual=residual, iterations=it)
-    raise BalanceError(
-        f"fixed point did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {residual:.3e})", residual=residual, iterations=max_iter)
+                f"iteration {len(trace)} (norm {norm:.3f}); the kernel is too "
+                "far from doubly stochastic for the perturbative solver",
+                residual=trace[-1], iterations=len(trace))
+
+    a, trace = _scale(entries, np.full(n, 1.0 / n), tol, max_iter, 1.0, ball)
+    if trace[-1] > tol:
+        raise BalanceError(
+            f"fixed point did not reach tol={tol:g} in {max_iter} iterations "
+            f"(last residual {trace[-1]:.3e})",
+            residual=trace[-1], iterations=max_iter)
+    u = np.exp(-a)
+    return BalanceResult(n, u - 1.0, u, entries, len(trace), trace[-1])
 
 
 def _prepare(K):
-    """The read-only kernel entries, n, and the row-sum defect q of K / n."""
+    """The read-only entries and n of a kernel that can be balanced."""
     entries = np.asarray(K, dtype=float)  # a sampled kernel gives its entries
     if entries.flags.writeable:  # the result reads them again for balanced
         entries = entries.copy()
@@ -167,34 +155,27 @@ def _prepare(K):
                          "rescale the kernel")
     if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
-    return entries, n, rows / n - 1.0
+    return entries, n
 
 
-def _solve(K, b, max_steps):
-    """x with (I + R) x = b, R = K / n, by conjugate gradients from x = 0.
-
-    Takes at most min(max_steps, n) steps and stops once the residual norm
-    is _CG_RTOL times that of b. Raises SingularSystemError on a search
-    direction p with p'(I + R)p <= 1e-14 p'p.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
+def _check_invertible(K):
+    """Run conjugate gradients on I + R from a fixed generic vector, for at
+    most _CHECK_STEPS steps, and raise SingularSystemError on a direction p
+    with p'(I + R)p <= 1e-14 p'p."""
+    n = K.shape[0]
+    r = np.random.default_rng(0).standard_normal(n)
     p = r.copy()
     rr = float(r @ r)
-    stop = _CG_RTOL * _CG_RTOL * rr
-    for _ in range(min(max_steps, b.size)):
+    stop = _CHECK_RTOL * _CHECK_RTOL * rr
+    for _ in range(min(_CHECK_STEPS, n)):
         if rr <= stop:
             break
-        Ap = p + K @ p / b.size
+        Ap = p + K @ p / n
         pAp = float(p @ Ap)
         if pAp <= 1e-14 * float(p @ p):
             raise SingularSystemError(
-                f"I + R is numerically singular at n={b.size}; "
+                f"I + R is numerically singular at n={n}; "
                 "the invertibility assumption fails on this kernel")
-        alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        r -= (rr / pAp) * Ap
         rr, rr_old = float(r @ r), rr
         p = r + (rr / rr_old) * p
-    return x
-

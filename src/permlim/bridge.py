@@ -169,23 +169,40 @@ def solve_potential(
     G = DensitySource(_cost_block(cost), np.zeros_like)(nodes)  # exp(-c)
     log_min, log_max = math.log(G.min()), math.log(G.max())  # -max c, -min c
 
-    a = np.zeros(m)
+    a, trace = _scale(G, weights, tol, max_iter, damping, lambda a, _: _guard_range(
+        "potential update", log_min - float(a.max()), log_max - float(a.min())))
+    if trace[-1] > tol:
+        raise ConvergenceError(
+            f"potential iteration did not reach tol={tol:g} in {max_iter} "
+            f"iterations (last residual {trace[-1]:.3e})",
+            residual=trace[-1], iterations=max_iter)
+    return PotentialSolution(cost, nodes, weights, a, tuple(trace), len(trace))
+
+
+def _scale(G, w, tol, max_iter, damping, check):
+    """Solve exp(a) = G (w exp(-a)), G symmetric and nonnegative with no
+    zero row, by the iteration of :func:`solve_potential` from a = 0.
+
+    Returns a and the residual max_i |exp(t_i - a_i) - 1| after each of at
+    most max_iter products with G; the caller judges the last against tol.
+    ``check(a, trace)`` runs before every product and raises to stop.
+    """
+    a = np.zeros(w.size)
     theta = damping
     f_prev = g_prev = None  # the Anderson history: last step and its image
     trace: list[float] = []
     prev_residual = math.inf
-    for it in range(1, max_iter + 1):
-        _guard_range("potential update", log_min - float(a.max()),
-                     log_max - float(a.min()))
-        f = np.log(G @ (weights * np.exp(-a))) - a  # t - a
+    for _ in range(max_iter):
+        check(a, trace)
+        f = np.log(G @ (w * np.exp(-a))) - a  # t - a
         residual = float(np.abs(np.exp(f) - 1.0).max())
         trace.append(residual)
         if residual <= tol:
-            return PotentialSolution(cost, nodes, weights, a, tuple(trace), it)
+            break
         if residual > prev_residual and theta > 1.0 / 16.0:
             theta = max(theta / 2.0, 1.0 / 16.0)
             f_prev = g_prev = None
-        f -= 0.5 * float(weights @ f)
+        f -= 0.5 * float(w @ f)
         g = a + theta * f  # the image of the damped step
         a = g
         if f_prev is not None:
@@ -199,10 +216,7 @@ def solve_potential(
                 a = g - g_prev
         f_prev, g_prev = f, g
         prev_residual = residual
-    raise ConvergenceError(
-        f"potential iteration did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {trace[-1]:.3e})",
-        residual=trace[-1], iterations=max_iter)
+    return a, trace
 
 
 def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:

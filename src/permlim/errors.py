@@ -49,7 +49,7 @@ class SingularSystemError(PermlimError):
     """I + R of the balancing fixed point is singular or indefinite.
 
     Raised when a conjugate-gradient direction p on I + R has
-    p'(I + R)p <= 1e-14 p'p, in the up-front check or in a solve.
+    p'(I + R)p <= 1e-14 p'p in the check that runs before balancing.
     """
 
     exit_code = 4

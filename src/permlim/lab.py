@@ -252,10 +252,12 @@ def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
     print(f"fredholm_limit = {fredholm.fredholm_limit!r} "
           f"(m={config.nystrom_m}, converged={fredholm.converged})")
     alpha, used = fit_rate(config.n_list, [r.err_Dn for r in records])
-    if alpha is None:
+    if alpha is not None:
+        print(f"fitted rate alpha = {alpha:.3f} (fit on n in {list(used)})")
+    elif all(r.err_Dn <= _EXACT_FLOOR for r in records):
         print("rate: exact (all errors at or below the numerical floor)")
     else:
-        print(f"fitted rate alpha = {alpha:.3f} (fit on n in {list(used)})")
+        print("rate: not fitted (fewer than two rows with a nonzero error)")
     return records
 
 

@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 import permlim
 from permlim import (BalanceError, BalanceResult, SingularSystemError,
-                     balance_fixed_point, compute_Dn, norm_2n, sample_kernel)
+                     balance_fixed_point, bridge_source, compute_Dn, norm_2n,
+                     quadratic_cost, sample_kernel, solve_potential)
 from permlim.bridge import _BLOCK
 from test_grid import _NON_FINITE, _planted
 
@@ -70,17 +71,22 @@ def test_fixed_point_equation_residual(cosine_half):
     assert np.abs(rows - 1.0).max() <= 1e-11
 
 
-# measured with tol 1e-12: 1.4e-12 here and 6.3e-13 on the bridge kernel
 def test_scaling_identity_cosine_n50(cosine_half):
     K = sample_kernel(cosine_half, 50)
     res = balance_fixed_point(K, tol=1e-12)
     assert _identity_residual(K.entries, res.u) <= 1e-11
 
 
-def test_scaling_identity_bridge_n100(quad_source):
-    K = sample_kernel(quad_source, 100)
+# The stopping rule bounds this defect itself. A Newton solver that stopped
+# on a double-precision 2-norm left 2.5e-12, 2.4e-12 and 2.7e-12 on the
+# three m = 400 kernels at tol 1e-12.
+@pytest.mark.parametrize("beta,m,n", [
+    (1.0, 256, 100), (1.0, 400, 16), (1.5, 400, 22), (2.0, 400, 16)])
+def test_scaling_identity_bridge(beta, m, n):
+    solution = solve_potential(quadratic_cost(beta), m=m, tol=1e-12)
+    K = sample_kernel(bridge_source(solution), n)
     res = balance_fixed_point(K, tol=1e-12)
-    assert _identity_residual(K.entries, res.u) <= 1e-11
+    assert _identity_residual(K.entries, res.u) <= 1e-12
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,

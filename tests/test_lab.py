@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import warnings
@@ -76,6 +78,7 @@ csv_path = {tmp_path / "o.csv"}
     solution = permlim.solve_potential(
         cfg.cost, m=cfg.bridge_m, tol=cfg.bridge_tol,
         max_iter=cfg.bridge_max_iter, damping=cfg.bridge_damping)
+    assert solution.iterations >= 1
     t = permlim.grid_nodes(cfg.n_list[0])
     assert permlim.evaluate_potential(solution, t).shape == t.shape
     assert np.asarray(cfg.cost(t[:, None], t[None, :])).shape == (4, 4)
@@ -85,10 +88,24 @@ csv_path = {tmp_path / "o.csv"}
     res = permlim.balance_fixed_point(K, tol=cfg.balance_tol,
                                       max_iter=cfg.balance_max_iter)
     assert res.u.shape == (4,) and res.balanced.shape == (4, 4)
-    assert res.iterations >= 1
+    assert res.iterations >= 1 and res.residual <= cfg.balance_tol
     value = permlim.permanent_brute(np.ones((3, 3)))
     assert (value.n, value.value) == (3, 6.0)
     assert cfg.workers >= 1 and cfg.csv_path.endswith("o.csv")
+    # the tracer wraps every public function of these modules as a span of
+    # its own, so a new one would move time out of the spans above
+    public = {name: sorted(
+        attr for attr, obj in vars(module).items()
+        if not attr.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__)
+        for name, module in (("bridge", permlim.bridge),
+                             ("balance", permlim.balance))}
+    assert public == {
+        "bridge": ["bridge_source", "check_damping", "constant_source",
+                   "cosine_source", "evaluate_potential", "gamma0",
+                   "gauss_legendre", "max_asymmetry", "solve_potential",
+                   "tabulated_source"],
+        "balance": ["balance_fixed_point"]}
 
 
 def test_load_config_full_roundtrip(tmp_path):
@@ -332,6 +349,11 @@ csv_path = {csv}
         # scaled raw product and the balanced permanent approach each other
         assert abs(r.L_n_scaled / r.D_n - 1.0) < 0.2
     assert "fitted rate alpha" in capsys.readouterr().out
+    # one row with err_Dn far above the floor gives no rate, not "exact"
+    (record,) = run_converge(dataclasses.replace(cfg, n_list=(8,)))
+    assert record.err_Dn > 1e-3
+    out = capsys.readouterr().out
+    assert "rate: not fitted" in out and "rate: exact" not in out
 
 
 def test_cli_constant_cost_is_the_constant_kernel(tmp_path, capsys,
