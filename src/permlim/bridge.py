@@ -13,7 +13,8 @@ which solves nothing for a nonconstant cost).
 
 The solver discretises the integral by the m-point Gauss-Legendre rule of
 :func:`gauss_legendre` and iterates in log space, with a step that removes
-the constant shift of the potential exactly and depth-1 Anderson mixing.
+the constant shift of the potential exactly and depth-1 Anderson mixing;
+:mod:`permlim.balance` balances sampled kernels with the same iteration.
 The same rule serves ``gamma0``, the off-node extension of the potential
 and the Nystrom matrix of :mod:`permlim.spectral`; for a smooth cost every
 one of them converges exponentially in m.
