@@ -13,10 +13,15 @@ conjugate-gradient run (Hestenes and Stiefel, 1952) of at most 12 steps on
 a fixed generic vector checks that up front, and the iteration stops if h
 leaves the ball norm_2n(h) <= 0.5 where the theory holds.
 
-R is never formed, symmetry is checked over tiles of the upper triangle,
-and the balanced matrix and the size measures of h are formed only when
-read: beyond the kernel, balancing allocates vectors and small tiles, not
-n x n arrays.
+A kernel from :func:`permlim.grid.sample_kernel` is symmetric by its
+storage, one triangle, and the sampler has checked every stored entry for
+finiteness and positivity; balancing multiplies by it over that triangle
+and checks only its row sums K @ 1, for overflow and zero rows. An array,
+or a KernelMatrix built directly from one, is checked entry by entry
+first: finite, nonnegative, and symmetric within 1e-12 over tiles of the
+upper triangle. R is never formed, and the balanced matrix and the size
+measures of h are formed only when read: beyond the kernel, balancing
+allocates vectors and small tiles, not n x n arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .bridge import _scale, max_asymmetry
 from .errors import BalanceError, SingularSystemError
-from .grid import norm_2n, norm_inf
+from .grid import KernelMatrix, norm_2n, norm_inf
 
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
 _SYM_TOL = 1e-12
@@ -40,8 +45,10 @@ _CHECK_STEPS = 12  # cap of the singularity check; measured kernels stop in 2-7
 class BalanceResult:
     """Perturbation h, scaling u = 1 + h, and the kernel they rescale.
 
-    ``kernel`` is the read-only matrix the solver balanced, held without a
-    copy. ``balanced[i, j] = u_i * kernel[i, j] * u_j`` is computed on
+    ``kernel`` is what the solver balanced, held without a copy: the
+    sampled KernelMatrix, symmetric by its storage, or the read-only array
+    that passed the entry checks. ``balanced[i, j] = u_i * kernel[i, j] *
+    u_j`` is computed on
     demand, as a new array on every access, so the result itself holds no
     second n x n array; dividing it by n gives the doubly stochastic
     matrix whose permanent the limit theory studies. ``iterations`` counts
@@ -57,13 +64,13 @@ class BalanceResult:
     n: int
     h: np.ndarray
     u: np.ndarray
-    kernel: np.ndarray = field(repr=False)
+    kernel: np.ndarray | KernelMatrix = field(repr=False)
     iterations: int
     residual: float
 
     @property
     def balanced(self) -> np.ndarray:
-        return self.kernel * np.outer(self.u, self.u)
+        return np.asarray(self.kernel) * np.outer(self.u, self.u)
 
     @property
     def norm_2n_h(self) -> float:
@@ -104,12 +111,12 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
     raised if an iterate leaves norm_2n(h) <= 0.5, outside which the
     perturbative argument fails and log(1 + h_i) may be undefined.
     """
-    entries, n = _prepare(K)
+    kernel, n = _prepare(K)
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    _check_invertible(entries)
+    _check_invertible(kernel)
 
     def ball(a, trace):
         with np.errstate(over="ignore"):  # an infinite h leaves the ball
@@ -121,41 +128,51 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
                 "far from doubly stochastic for the perturbative solver",
                 residual=trace[-1], iterations=len(trace))
 
-    a, trace = _scale(entries, np.full(n, 1.0 / n), tol, max_iter, 1.0, ball)
+    a, trace = _scale(kernel, np.full(n, 1.0 / n), tol, max_iter, 1.0, ball)
     if trace[-1] > tol:
         raise BalanceError(
             f"fixed point did not reach tol={tol:g} in {max_iter} iterations "
             f"(last residual {trace[-1]:.3e})",
             residual=trace[-1], iterations=max_iter)
     u = np.exp(-a)
-    return BalanceResult(n, u - 1.0, u, entries, len(trace), trace[-1])
+    return BalanceResult(n, u - 1.0, u, kernel, len(trace), trace[-1])
 
 
 def _prepare(K):
-    """The read-only entries and n of a kernel that can be balanced."""
-    entries = np.asarray(K, dtype=float)  # a sampled kernel gives its entries
-    if entries.flags.writeable:  # the result reads them again for balanced
-        entries = entries.copy()
-        entries.setflags(write=False)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("balance expects a square kernel matrix")
-    n = entries.shape[0]
+    """The kernel to multiply by and its n, once it can be balanced.
+
+    A kernel from grid.sample_kernel is symmetric by its storage, and the
+    sampler has checked every stored entry for finiteness and positivity,
+    so only its row sums K @ 1 are checked here. Any other input is taken
+    as a read-only array and checked entry by entry first.
+    """
+    sampled = isinstance(K, KernelMatrix) and K._sampled
+    kernel = K if sampled else np.asarray(K, dtype=float)
+    if not sampled:
+        if kernel.flags.writeable:  # the result reads it again for balanced
+            kernel = kernel.copy()
+            kernel.setflags(write=False)
+        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+            raise ValueError("balance expects a square kernel matrix")
+    n = kernel.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # judged just below
-        rows = entries.sum(axis=1)
-    # A finite row sum means a finite row; see grid.sample_kernel.
+        rows = kernel @ np.ones(n)
+    # A finite row sum means a finite row, so an array is scanned entry by
+    # entry only when a row sum is not finite.
     finite_rows = bool(np.isfinite(rows).all())
-    if not finite_rows and not np.isfinite(entries).all():
-        raise ValueError("kernel contains non-finite entries")
-    if entries.min() < 0.0:
-        raise ValueError("kernel entries must be nonnegative")
-    if max_asymmetry(entries) > _SYM_TOL:
-        raise ValueError("kernel must be symmetric")
+    if not sampled:
+        if not finite_rows and not np.isfinite(kernel).all():
+            raise ValueError("kernel contains non-finite entries")
+        if kernel.min() < 0.0:
+            raise ValueError("kernel entries must be nonnegative")
+        if max_asymmetry(kernel) > _SYM_TOL:
+            raise ValueError("kernel must be symmetric")
     if not finite_rows:
         raise ValueError("kernel row sums overflow double precision; "
                          "rescale the kernel")
     if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
-    return entries, n
+    return kernel, n
 
 
 def _check_invertible(K):

@@ -226,18 +226,31 @@ def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:
     Plugging arbitrary x into a(x) = log sum_j w_j exp(-c(x, y_j) - a_j)
     extends the converged node values smoothly; on the nodes it reproduces
     them up to the solver tolerance. x may have any shape, and the result
-    has the same shape.
+    has the same shape. The sum runs over about _BLOCK points of x at a
+    time, in one reused block: the exponent range of each block is guarded
+    before exp runs on it, and no len(x) x m temporary is made.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     if flat.min() < 0.0 or flat.max() > 1.0:
         raise ValueError("potential arguments must lie in [0,1]")
     a = solution.a_values
-    C = np.asarray(_cost_block(solution.cost)(flat, solution.nodes), float)
-    _guard_range("potential", -float(C.max()) - float(a.max()),
-                 -float(C.min()) - float(a.min()))
-    a_x = np.log(np.exp(-C) @ (solution.weights * np.exp(-a)))
-    return a_x.reshape(x.shape)
+    a_min, a_max = float(a.min()), float(a.max())
+    v = solution.weights * np.exp(-a)
+    cost = _cost_block(solution.cost)
+    # numpy multiplies a block of one row as a dot product, which rounds
+    # unlike a row of a larger block, so the last block takes such a row
+    edges = [*range(0, max(flat.size - 1, 1), _BLOCK), flat.size]
+    block = np.empty((min(flat.size, _BLOCK + 1), a.size))
+    a_x = np.empty(flat.size)
+    for s, e in zip(edges, edges[1:]):
+        C = np.asarray(cost(flat[s:e], solution.nodes), float)
+        _guard_range("potential", -float(C.max()) - a_max,
+                     -float(C.min()) - a_min)
+        row = block[:e - s]
+        np.exp(np.negative(C, out=row), out=row)
+        a_x[s:e] = row @ v
+    return np.log(a_x, out=a_x).reshape(x.shape)
 
 
 def gamma0(solution: PotentialSolution) -> float:
@@ -259,16 +272,25 @@ class DensitySource:
     rows at a time, each block row from the diagonal rightwards only, so
     ``density`` (c for a Gibbs source) is read at (t_min, t_max) only, and
     mirrors it into the lower triangle: the result is exactly symmetric,
-    and no n x n temporary is made. A Gibbs block is negated, shifted and
-    exponentiated in place, in the order -c - a_i - a_j; a non-finite
-    exponent raises ValueError, and one beyond +/-700 OverflowGuardError,
-    before exp runs on its block.
+    and no n x n temporary is made. :func:`permlim.grid.sample_kernel`
+    keeps the fill unmirrored, as one stored triangle. A Gibbs block is
+    negated, shifted and exponentiated in place, in the order
+    -c - a_i - a_j; a non-finite exponent raises ValueError, and one beyond
+    +/-700 OverflowGuardError, before exp runs on its block.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t) -> np.ndarray:
+        rho = self._fill(t)
+        _mirror_block_rows(rho)
+        return rho
+
+    def _fill(self, t) -> np.ndarray:
+        """The block rows rho[s:e, s:] of the n x n matrix, each diagonal
+        block whole; the blocks below the diagonal blocks are left unwritten
+        (see :class:`permlim.grid.KernelMatrix`)."""
         t = np.asarray(t, dtype=float)
         n = t.size
         a = None if self.potential is None else self.potential(t)
@@ -280,15 +302,24 @@ class DensitySource:
                 row[...] = self.density(t[s:e], t[s:])
             else:
                 with np.errstate(all="ignore"):  # _guard_range rejects nan/inf
-                    np.negative(self.density(t[s:e], t[s:]), out=row)
-                    row -= a[s:e, None]
+                    # (-a_i) - c is (-c) - a_i exactly, in one pass fewer
+                    np.subtract(-a[s:e, None], self.density(t[s:e], t[s:]),
+                                out=row)
                     row -= a[None, s:]
                 _guard_range("density", float(row.min()), float(row.max()))
                 np.exp(row, out=row)
             diag = row[:, :e - s]
             np.copyto(diag, diag.T, where=np.tri(e - s, k=-1, dtype=bool))
-            rho[e:, s:e] = row[:, e - s:].T
         return rho
+
+
+def _mirror_block_rows(rho: np.ndarray) -> None:
+    """Copy the blocks above the diagonal blocks of a :meth:`DensitySource._fill`
+    result into the blocks below them, in place."""
+    n = rho.shape[0]
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        rho[e:, s:e] = rho[s:e, e:].T
 
 
 def bridge_source(solution: PotentialSolution) -> DensitySource:

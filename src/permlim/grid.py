@@ -3,11 +3,13 @@
 A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
 i, j = 1..n, the right endpoints of the uniform partition of [0,1]. The
 density source fills K from the node vector i/n block row by block row,
-exactly symmetric by construction and with no n x n temporary; sampling
-checks it for finiteness and positivity and averages nothing. The result,
-a :class:`KernelMatrix`, converts to its read-only entries without a copy,
-so every later stage (balancing, permanents, spectra) reads it as a plain
-array and only this module names the class. The
+on and above the diagonal blocks, with no n x n temporary. The result, a
+:class:`KernelMatrix`, stores that one triangle, so it is symmetric by its
+storage; sampling checks each stored entry for finiteness and positivity
+and averages nothing. Products with K read only the stored triangle, and
+the lower triangle is formed in place on the first read of the entries,
+which convert to a read-only array without a copy: permanents and spectra
+read a plain array, and balancing multiplies by K without forming it. The
 normalised kernel K/n has row sums close to 1, up to the right-endpoint
 Riemann-sum error that :func:`riemann_correction_check` measures.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import DensitySource
+from .bridge import _BLOCK, DensitySource, _mirror_block_rows
 
 
 def norm_2n(v: np.ndarray) -> float:
@@ -33,24 +35,71 @@ def norm_inf(v: np.ndarray) -> float:
     return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
-@dataclass(frozen=True)
 class KernelMatrix:
     """Samples rho(i/n, j/n); ``entries / n`` is the normalised kernel.
 
     It is array-like: ``np.asarray(K)`` returns the read-only float
     ``entries`` themselves, so every later stage takes it as a plain array.
+    Built directly, it holds the given array, and ``K @ v`` is
+    ``entries @ v``.
+
+    A kernel from :func:`sample_kernel` stores one triangle: the _BLOCK-row
+    block rows P = K[s:e, s:] of the density fill, each diagonal block
+    whole, and nothing below them. ``K @ v`` is the symmetric product over
+    the block rows, out[s:e] += P @ v[s:] and out[e:] += P[:, e-s:].T @
+    v[s:e] (the plain P @ v for n <= _BLOCK), so it is symmetric by its
+    storage; the first read of ``entries`` or ``np.asarray(K)`` copies the
+    lower triangle into place, once, and products keep their block form.
     """
 
-    entries: np.ndarray
+    def __init__(self, entries):
+        self._rows = np.asarray(entries, dtype=float)
+        self._full = True
+        self._sampled = False  # True for the one-triangle kernel of sample_kernel
+        self._entries = self._rows.view()
+        self._entries.setflags(write=False)  # on the view: the caller's array stays
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float).view()
-        entries.setflags(write=False)  # on the view: the caller's array stays
-        object.__setattr__(self, "entries", entries)
+    @classmethod
+    def _one_triangle(cls, rows: np.ndarray) -> "KernelMatrix":
+        K = cls(rows)
+        K._full, K._sampled = False, True
+        return K
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._rows.shape
+
+    @property
+    def entries(self) -> np.ndarray:
+        if not self._full:
+            _mirror_block_rows(self._rows)
+            self._full = True
+        return self._entries
 
     def __array__(self, dtype=None, copy=None):
         # numpy 1.x calls this without ``copy`` and rejects ``copy=None``.
         return (np.array if copy else np.asarray)(self.entries, dtype=dtype)
+
+    def __matmul__(self, v) -> np.ndarray:
+        rows, n = self._rows, self._rows.shape[0]
+        if not self._sampled or n <= _BLOCK:
+            return rows @ v
+        out = np.zeros(n)
+        for s in range(0, n, _BLOCK):
+            e = min(s + _BLOCK, n)
+            P = rows[s:e, s:]
+            out[s:e] += P @ v[s:]
+            out[e:] += P[:, e - s:].T @ v[s:e]
+        return out
+
+    def _stored_range(self) -> tuple[float, float]:
+        """min and max over the stored entries; nan when any is nan."""
+        rows, n = self._rows, self._rows.shape[0]
+        lo, hi = math.inf, -math.inf
+        for s in range(0, n, _BLOCK):
+            P = rows[s:s + _BLOCK, s:]
+            lo, hi = np.minimum(lo, P.min()), np.maximum(hi, P.max())  # keep a nan
+        return float(lo), float(hi)
 
 
 def grid_nodes(n: int) -> np.ndarray:
@@ -63,22 +112,22 @@ def grid_nodes(n: int) -> np.ndarray:
 def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
     """Sample rho at the right-endpoint grid.
 
-    The source returns an exactly symmetric matrix by construction, so no
-    averaging or symmetry check happens here. Entries must be finite and
-    strictly positive: balancing and the permanent limits are stated for
-    positive kernels.
+    The source fills the block rows on and above the diagonal blocks, which
+    the result stores as one triangle (see :class:`KernelMatrix`), so no
+    averaging or symmetry check happens here and the lower triangle is
+    formed only when read. Every stored entry must be finite and strictly
+    positive: balancing and the permanent limits are stated for positive
+    kernels.
     """
     with np.errstate(all="ignore"):  # non-finite values are rejected below
-        K = np.asarray(source(grid_nodes(n)), dtype=float)
-        rows = K.sum(axis=1)
-    # A finite row sum means a finite row, so only a kernel with an infinite
-    # or nan row sum (or one that overflows) is scanned entry by entry.
-    if not np.isfinite(rows).all() and not np.isfinite(K).all():
+        K = KernelMatrix._one_triangle(source._fill(grid_nodes(n)))
+        lo, hi = K._stored_range()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("density evaluates to non-finite values on the grid")
-    if K.min() <= 0.0:
+    if lo <= 0.0:
         raise ValueError(
-            f"sampled kernel must be strictly positive; min entry {K.min():.3e}")
-    return KernelMatrix(K)
+            f"sampled kernel must be strictly positive; min entry {lo:.3e}")
+    return K
 
 
 @dataclass(frozen=True)

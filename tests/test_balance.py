@@ -254,6 +254,38 @@ def test_overflowing_row_sums_rejected_before_iterating():
             balance_fixed_point(np.full((4, 4), 1e308))
 
 
+def test_sampled_kernel_balanced_from_its_stored_triangle(quad_source,
+                                                         monkeypatch):
+    # a sampled kernel is symmetric by its storage: balancing runs no
+    # symmetry scan and never reads below the diagonal blocks
+    def no_scan(M):
+        raise AssertionError("max_asymmetry called")
+
+    monkeypatch.setattr(permlim.balance, "max_asymmetry", no_scan)
+    n = 300
+    K = sample_kernel(quad_source, n)
+    block = np.arange(n) // _BLOCK
+    below = block[:, None] > block[None, :]
+    K._rows[below] = np.nan  # the storage's unwritten part, made visible
+    res = balance_fixed_point(K, tol=1e-12)
+    assert np.isnan(K._rows[below]).all()
+    full = quad_source(permlim.grid_nodes(n))
+    assert _identity_residual(full, res.u) <= 1e-12
+    assert np.array_equal(res.balanced, full * np.outer(res.u, res.u))
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, permlim.KernelMatrix],
+                         ids=["array", "KernelMatrix"])
+def test_asymmetric_kernel_rejected_unless_sampled(wrap):
+    # arrays and directly built kernels keep every check
+    K = np.ones((300, 300))
+    K[200, 3] += 1e-9  # below the diagonal blocks
+    with pytest.raises(ValueError, match="kernel must be symmetric"):
+        balance_fixed_point(wrap(K))
+    with pytest.raises(ValueError, match="kernel must be symmetric"):
+        balance_fixed_point(wrap(np.array([[1.0, 2.0], [1.0, 1.0]])))
+
+
 @pytest.mark.parametrize("i,j", [(5, _BLOCK + 7), (299, 297)],
                          ids=["off-diagonal tile", "trailing partial tile"])
 def test_asymmetry_found_in_any_tile(i, j):

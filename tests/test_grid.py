@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from permlim import (KernelMatrix, balance_fixed_point, bridge_source,
-                     centered_nystrom, compute_Dn, constant_source,
-                     cosine_source, evaluate_potential, gauss_legendre,
-                     grid_nodes, load_matrix, norm_2n, norm_inf,
-                     riemann_correction_check, sample_kernel,
+from permlim import (DensitySource, KernelMatrix, balance_fixed_point,
+                     bridge_source, centered_nystrom, compute_Dn,
+                     constant_source, cosine_source, evaluate_potential,
+                     gauss_legendre, grid_nodes, load_matrix, norm_2n,
+                     norm_inf, riemann_correction_check, sample_kernel,
                      tabulated_source)
 from permlim.bridge import _BLOCK
 from permlim.cost import bilinear_interpolant
@@ -119,15 +119,16 @@ def _planted(pair, base=1.0):
 @pytest.mark.parametrize("pair", _NON_FINITE.values(), ids=_NON_FINITE)
 def test_sample_non_finite_rejected(pair):
     with pytest.raises(ValueError, match="^density evaluates to non-finite"):
-        sample_kernel(lambda t: _planted(pair), 4)
+        sample_kernel(DensitySource(lambda x, y: _planted(pair)), 4)
 
 
 def test_sample_near_overflow_kernel_is_finite():
     # every row sum overflows, yet every entry is finite
-    K = sample_kernel(lambda t: np.full((4, 4), 1e308), 4)
+    K = sample_kernel(DensitySource(lambda x, y: np.full((4, 4), 1e308)), 4)
     assert np.all(K.entries == 1e308)
     with pytest.raises(ValueError, match="strictly positive"):
-        sample_kernel(lambda t: _planted((0.0, 1e308), 1e308), 4)
+        sample_kernel(DensitySource(lambda x, y: _planted((0.0, 1e308), 1e308)),
+                      4)
 
 
 def test_kernel_matrix_immutable(const_source):
@@ -160,6 +161,47 @@ def test_kernel_matrix_built_directly_is_float_and_read_only():
     floats = source.astype(float)
     assert np.shares_memory(KernelMatrix(floats).entries, floats)
     assert floats.flags.writeable  # the caller's array is left writable
+
+
+@pytest.mark.parametrize("n", [1, 5, _BLOCK, _BLOCK + 1, 300, 800])
+def test_sampled_product_is_the_symmetric_product(n, quad_source):
+    # K @ v runs over the stored block rows only; with one block row it is
+    # the plain product, bit for bit
+    v = np.random.default_rng(n).standard_normal(n)
+    K = sample_kernel(quad_source, n)
+    got = K @ v
+    full = np.asarray(K)
+    want = full @ v
+    if n <= _BLOCK:
+        assert got.tobytes() == want.tobytes()
+    else:  # relative to the size of each sum; measured 3e-17 to 8e-17
+        assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(full) @ np.abs(v)))
+    assert (K @ v).tobytes() == got.tobytes()  # reading entries changes nothing
+
+
+@pytest.mark.parametrize("kind", ["bridge", "cosine", "tabulated", "constant"])
+def test_sampled_entries_are_the_source_matrix(kind, quad_source):
+    # the lower triangle formed on first read is the source's own mirror
+    source = {"bridge": quad_source, "cosine": cosine_source(0.3),
+              "tabulated": tabulated_source(TABLE),
+              "constant": constant_source()}[kind]
+    K = sample_kernel(source, 300)
+    entries = K.entries
+    assert entries.tobytes() == source(grid_nodes(300)).tobytes()
+    assert K.entries is entries and not entries.flags.writeable
+
+
+@pytest.mark.parametrize("i,j", [(0, 299), (_BLOCK + 1, 200), (299, 299)],
+                         ids=["first block row", "middle block", "last diagonal"])
+def test_sample_checks_every_stored_block(i, j):
+    n = 300
+    t = grid_nodes(n)
+
+    def rho(x, y):
+        return np.where(np.outer(x == t[i], y == t[j]), np.nan, 1.0)
+
+    with pytest.raises(ValueError, match="^density evaluates to non-finite"):
+        sample_kernel(DensitySource(rho), n)
 
 
 def _row_defect(K):
