@@ -48,12 +48,12 @@ class BalanceResult:
     ``kernel`` is what the solver balanced, held without a copy: the
     sampled KernelMatrix, symmetric by its storage, or the read-only array
     that passed the entry checks. ``balanced[i, j] = u_i * kernel[i, j] *
-    u_j`` is computed on
-    demand, as a new array on every access, so the result itself holds no
-    second n x n array; dividing it by n gives the doubly stochastic
-    matrix whose permanent the limit theory studies. ``iterations`` counts
-    the products with the kernel, and ``residual`` is the sup-norm row-sum
-    defect max_i |u_i (K u)_i / n - 1| at which the iteration stopped.
+    u_j`` is computed on demand, as a new array on every access, so the
+    result itself holds no second n x n array; dividing it by n gives the
+    doubly stochastic matrix whose permanent the limit theory studies.
+    ``iterations`` counts the products with the kernel, and ``residual`` is
+    the sup-norm row-sum defect max_i |u_i (K u)_i / n - 1| at which the
+    iteration stopped.
 
     The size measures of h are computed on access too. Across grid sizes
     they scale as norm_2n_h = O(1/n), norm_inf_h = O(n^-1/2),
