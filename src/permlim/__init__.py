@@ -13,10 +13,10 @@ finite-n determinant estimate along the way (:mod:`permlim.spectral`).
 """
 
 from .balance import BalanceResult, balance_fixed_point
-from .bridge import (DensitySource, PotentialSolution, bridge_source,
-                     constant_source, cosine_source, evaluate_potential,
-                     gamma0, gauss_legendre, solve_potential,
-                     tabulated_source)
+from .bridge import (DensitySource, KernelMatrix, PotentialSolution,
+                     bridge_source, constant_source, cosine_source,
+                     evaluate_potential, gamma0, gauss_legendre,
+                     solve_potential, tabulated_source)
 from .cost import (CostFunction, ValidationReport, absolute_cost,
                    expression_cost, quadratic_cost, tabulated_cost,
                    validate_cost)
@@ -25,8 +25,7 @@ from .errors import (BalanceError, CapExceededError, ConfigError,
                      PermlimWarning, RefinementWarning, RuntimeBudgetWarning,
                      SingularSystemError, SmoothnessWarning, SpectralGapError,
                      SpectralGapWarning)
-from .grid import (KernelMatrix, RiemannReport, grid_nodes, load_matrix,
-                   norm_2n, norm_inf, riemann_correction_check, sample_kernel)
+from .grid import grid_nodes, load_matrix, norm_2n, norm_inf, sample_kernel
 from .lab import (BalanceStudyRecord, ConvergenceRecord, RunConfig, fit_rate,
                   load_config, run_balance_study, run_converge,
                   run_solve_bridge, run_validate_cost)

@@ -13,13 +13,13 @@ conjugate-gradient run (Hestenes and Stiefel, 1952) of at most 12 steps on
 a fixed generic vector checks that up front, and the iteration stops if h
 leaves the ball norm_2n(h) <= 0.5 where the theory holds.
 
-A kernel from :func:`permlim.grid.sample_kernel` is symmetric by its
-storage, one triangle, and the sampler has checked every stored entry for
-finiteness and positivity; balancing multiplies by it over that triangle
-and checks only its row sums K @ 1, for overflow and zero rows. An array,
-or a KernelMatrix built directly from one, is checked entry by entry
-first: finite, nonnegative, and symmetric within 1e-12 over tiles of the
-upper triangle. R is never formed, and the balanced matrix and the size
+A :class:`permlim.bridge.KernelMatrix`, what sampling returns, is
+symmetric by its storage, one triangle, and records the range of its stored
+entries as it is filled. Balancing checks that range, finite and
+nonnegative, and the row sums K @ 1, for overflow and zero rows, and
+multiplies by K over its stored triangle. An array is checked entry by
+entry first: finite, nonnegative, and symmetric within 1e-12 over tiles of
+the upper triangle. R is never formed, and the balanced matrix and the size
 measures of h are formed only when read: beyond the kernel, balancing
 allocates vectors and small tiles, not n x n arrays.
 """
@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import _scale, max_asymmetry
+from .bridge import KernelMatrix, _scale, max_asymmetry
 from .errors import BalanceError, SingularSystemError
-from .grid import KernelMatrix, norm_2n, norm_inf
+from .grid import norm_2n, norm_inf
 
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
 _SYM_TOL = 1e-12
@@ -46,8 +46,8 @@ class BalanceResult:
     """Perturbation h, scaling u = 1 + h, and the kernel they rescale.
 
     ``kernel`` is what the solver balanced, held without a copy: the
-    sampled KernelMatrix, symmetric by its storage, or the read-only array
-    that passed the entry checks. ``balanced[i, j] = u_i * kernel[i, j] *
+    KernelMatrix, symmetric by its storage, or the read-only array that
+    passed the entry checks. ``balanced[i, j] = u_i * kernel[i, j] *
     u_j`` is computed on demand, as a new array on every access, so the
     result itself holds no second n x n array; dividing it by n gives the
     doubly stochastic matrix whose permanent the limit theory studies.
@@ -141,14 +141,20 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
 def _prepare(K):
     """The kernel to multiply by and its n, once it can be balanced.
 
-    A kernel from grid.sample_kernel is symmetric by its storage, and the
-    sampler has checked every stored entry for finiteness and positivity,
-    so only its row sums K @ 1 are checked here. Any other input is taken
-    as a read-only array and checked entry by entry first.
+    A KernelMatrix is symmetric by its storage and is checked by the range
+    of its stored entries and its row sums K @ 1. Any other input is taken
+    as a read-only array and checked entry by entry.
     """
-    sampled = isinstance(K, KernelMatrix) and K._sampled
-    kernel = K if sampled else np.asarray(K, dtype=float)
-    if not sampled:
+    sampled = isinstance(K, KernelMatrix)
+    if sampled:
+        kernel = K
+        lo, hi = K.value_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("kernel contains non-finite entries")
+        if lo < 0.0:
+            raise ValueError("kernel entries must be nonnegative")
+    else:
+        kernel = np.asarray(K, dtype=float)
         if kernel.flags.writeable:  # the result reads it again for balanced
             kernel = kernel.copy()
             kernel.setflags(write=False)

@@ -19,9 +19,11 @@ The same rule serves ``gamma0``, the off-node extension of the potential
 and the Nystrom matrix of :mod:`permlim.spectral`; for a smooth cost every
 one of them converges exponentially in m.
 
-The solver's Gibbs matrix and every sampled density are one block fill,
-:class:`DensitySource`, which reads c on and above the diagonal only: the
-cost must be symmetric, and :mod:`permlim.lab` checks that before a solve.
+A :class:`DensitySource` sampled on a node vector is one type,
+:class:`KernelMatrix`: the solver's Gibbs matrix, the Nystrom matrices and
+the grid kernels of :mod:`permlim.grid` alike. It alone knows the stored
+triangle: it reads c on and above the diagonal only, so the cost must be
+symmetric, and :mod:`permlim.lab` checks that before a solve.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .cost import CostFunction, bilinear_interpolant
 from .errors import ConvergenceError, OverflowGuardError, SmoothnessWarning
 
 _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
-# rows per block row of a sampled density and of the Gibbs matrix of
-# solve_potential, and side of a symmetry-check tile
+# rows per block row of a KernelMatrix, points per block of
+# evaluate_potential, and side of a symmetry-check tile
 _BLOCK = 128
 
 MIN_NODES = 8
@@ -149,9 +151,11 @@ def solve_potential(
     halved, down to 1/16, and the history is dropped, so the next step is
     a <- g.
 
-    The Gibbs matrix exp(-c) is the :class:`DensitySource` fill at a zero
+    The Gibbs matrix exp(-c) is the :class:`KernelMatrix` of a zero
     potential: c is read on and above the diagonal only, as the sampler
-    reads it, and a non-finite cost raises ValueError before exp runs.
+    reads it, and a non-finite cost raises ValueError before exp runs. Its
+    recorded range bounds the exponent of every update, and the iteration
+    multiplies by the full matrix, mirrored once.
     """
     if m < MIN_NODES:
         raise ValueError(f"m must be >= {MIN_NODES}")
@@ -168,8 +172,9 @@ def solve_potential(
 
     nodes, weights = gauss_legendre(m)
     G = DensitySource(_cost_block(cost), np.zeros_like)(nodes)  # exp(-c)
-    log_min, log_max = math.log(G.min()), math.log(G.max())  # -max c, -min c
+    log_min, log_max = map(math.log, G.value_range)  # -max c, -min c
 
+    G = np.asarray(G)  # the full gemv: the triangle product rounds otherwise
     a, trace = _scale(G, weights, tol, max_iter, damping, lambda a, _: _guard_range(
         "potential update", log_min - float(a.max()), log_max - float(a.min())))
     if trace[-1] > tol:
@@ -266,60 +271,99 @@ class DensitySource:
     rho(x_i, y_j) of shape (x.size, y.size). A Gibbs source also sets
     ``potential``: then ``density`` returns the cost block c(x_i, y_j), and
     the source is rho = exp(-c(x, y) - a(x) - a(y)) with a = potential(t)
-    evaluated once per call.
-
-    Called on ascending nodes t, the source fills one n x n matrix _BLOCK
-    rows at a time, each block row from the diagonal rightwards only, so
-    ``density`` (c for a Gibbs source) is read at (t_min, t_max) only, and
-    mirrors it into the lower triangle: the result is exactly symmetric,
-    and no n x n temporary is made. :func:`permlim.grid.sample_kernel`
-    keeps the fill unmirrored, as one stored triangle. A Gibbs block is
-    negated, shifted and exponentiated in place, in the order
-    -c - a_i - a_j; a non-finite exponent raises ValueError, and one beyond
-    +/-700 OverflowGuardError, before exp runs on its block.
+    evaluated once per call. Called on ascending nodes t, the source
+    returns rho(t_i, t_j) as a :class:`KernelMatrix`.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, t) -> np.ndarray:
-        rho = self._fill(t)
-        _mirror_block_rows(rho)
-        return rho
+    def __call__(self, t) -> KernelMatrix:
+        return KernelMatrix(self, t)
 
-    def _fill(self, t) -> np.ndarray:
-        """The block rows rho[s:e, s:] of the n x n matrix, each diagonal
-        block whole; the blocks below the diagonal blocks are left unwritten
-        (see :class:`permlim.grid.KernelMatrix`)."""
+
+class KernelMatrix:
+    """A density source sampled on ascending nodes t: the symmetric n x n
+    matrix rho(t_i, t_j), stored as one triangle.
+
+    The constructor fills the matrix _BLOCK rows at a time, each block row
+    P = rho[s:e, s:] from the diagonal rightwards only, so ``density`` (c
+    for a Gibbs source) is read at (t_min, t_max) only, and each diagonal
+    block is whole; nothing below the diagonal blocks is written, and no
+    n x n temporary is made. A Gibbs block is negated, shifted and
+    exponentiated in place, in the order -c - a_i - a_j; a non-finite
+    exponent raises ValueError, and one beyond +/-700 OverflowGuardError,
+    before exp runs on its block. ``value_range`` is the (min, max) of the
+    stored entries, recorded during the fill; it is nan when any entry is.
+
+    ``K @ v`` is the symmetric product over the block rows,
+    out[s:e] += P @ v[s:] and out[e:] += P[:, e-s:].T @ v[s:e] (the plain
+    P @ v for n <= _BLOCK). The first read of ``entries`` or
+    ``np.asarray(K)`` copies the stored blocks into the lower triangle,
+    once, in place: both triangles then hold rho(t_min, t_max), the matrix
+    is exactly symmetric, and it is a read-only array, not a copy.
+    Products keep their block form.
+    """
+
+    def __init__(self, source: DensitySource, t):
         t = np.asarray(t, dtype=float)
         n = t.size
-        a = None if self.potential is None else self.potential(t)
-        rho = np.empty((n, n))
+        a = None if source.potential is None else source.potential(t)
+        rows = np.empty((n, n))
+        lo, hi = math.inf, -math.inf
         for s in range(0, n, _BLOCK):
             e = min(s + _BLOCK, n)
-            row = rho[s:e, s:]  # a view: rows s..e-1, columns from s on
+            row = rows[s:e, s:]  # a view: rows s..e-1, columns from s on
             if a is None:
-                row[...] = self.density(t[s:e], t[s:])
+                row[...] = source.density(t[s:e], t[s:])
             else:
                 with np.errstate(all="ignore"):  # _guard_range rejects nan/inf
                     # (-a_i) - c is (-c) - a_i exactly, in one pass fewer
-                    np.subtract(-a[s:e, None], self.density(t[s:e], t[s:]),
+                    np.subtract(-a[s:e, None], source.density(t[s:e], t[s:]),
                                 out=row)
                     row -= a[None, s:]
                 _guard_range("density", float(row.min()), float(row.max()))
                 np.exp(row, out=row)
             diag = row[:, :e - s]
             np.copyto(diag, diag.T, where=np.tri(e - s, k=-1, dtype=bool))
-        return rho
+            lo, hi = np.minimum(lo, row.min()), np.maximum(hi, row.max())  # keeps nan
+        self._rows = rows
+        self._full = n <= _BLOCK  # one diagonal block is the whole matrix
+        self._entries = rows.view()
+        self._entries.setflags(write=False)
+        self.value_range = (float(lo), float(hi))
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._rows.shape
 
-def _mirror_block_rows(rho: np.ndarray) -> None:
-    """Copy the blocks above the diagonal blocks of a :meth:`DensitySource._fill`
-    result into the blocks below them, in place."""
-    n = rho.shape[0]
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        rho[e:, s:e] = rho[s:e, e:].T
+    @property
+    def entries(self) -> np.ndarray:
+        if not self._full:
+            rows, n = self._rows, self._rows.shape[0]
+            for s in range(0, n, _BLOCK):
+                e = min(s + _BLOCK, n)
+                rows[e:, s:e] = rows[s:e, e:].T
+            self._full = True
+        return self._entries
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:  # numpy 2 only: a needed copy raises ValueError
+            return np.asarray(self.entries, dtype=dtype, copy=False)
+        # numpy 1.x calls this without ``copy`` and rejects ``copy=None``.
+        return (np.array if copy else np.asarray)(self.entries, dtype=dtype)
+
+    def __matmul__(self, v) -> np.ndarray:
+        rows, n = self._rows, self._rows.shape[0]
+        if n <= _BLOCK:
+            return rows @ v
+        out = np.zeros(n)
+        for s in range(0, n, _BLOCK):
+            e = min(s + _BLOCK, n)
+            P = rows[s:e, s:]
+            out[s:e] += P @ v[s:]
+            out[e:] += P[:, e - s:].T @ v[s:e]
+        return out
 
 
 def bridge_source(solution: PotentialSolution) -> DensitySource:

@@ -90,15 +90,15 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
 
     Its eigenvalues approximate those of the centered integral operator
     f -> integral (rho(x, y) - 1) f(y) dy on mean-zero functions. The
-    density source returns rho on the nodes z exactly symmetric, and so is
-    the matrix.
+    density source samples rho on the nodes z exactly symmetric, and so is
+    the matrix; the sample is freed once rho - 1 is formed, so at most two
+    m x m arrays are alive at once.
     """
     if m < MIN_RESOLUTION:
         raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
     z, w = gauss_legendre(m)
     s = np.sqrt(w)
-    S = source(z)
-    S -= 1.0
+    S = np.subtract(source(z), 1.0)
     S *= np.outer(s, s)
     return S
 

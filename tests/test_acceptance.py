@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Every test computes its quantities from scratch through the public API,
-evaluates the criterion's tolerances, prints a single [PASS]/[FAIL] line
-on the real terminal (bypassing capture), and then asserts.
+Every test computes its quantities from scratch through the public API
+(criterion 8's Riemann sums through a test-local helper), evaluates the
+criterion's tolerances, prints a single [PASS]/[FAIL] line on the real
+terminal (bypassing capture), and then asserts.
 """
 
 import math
@@ -14,9 +15,9 @@ import numpy as np
 from permlim import (RunConfig, SpectralGapWarning, balance_fixed_point,
                      bridge_source, compute_Dn, cosine_source, fit_rate,
                      fredholm_limit, gamma0, grid_nodes, mccullagh_estimate,
-                     permanent_brute, quadratic_cost,
-                     riemann_correction_check, run_converge, sample_kernel,
-                     solve_potential)
+                     permanent_brute, quadratic_cost, run_converge,
+                     sample_kernel, solve_potential)
+from test_grid import _riemann_residuals
 
 LIMIT_COSINE_HALF = 2.0 / math.sqrt(3.0)
 
@@ -156,9 +157,8 @@ def test_criterion_07_scaled_raw_product_chain(capsys, quad_cost,
 
 def test_criterion_08_riemann_endpoint_correction(capsys):
     third = np.longdouble(1.0) / np.longdouble(3.0)
-    report = riemann_correction_check(lambda t: t * t, third,
-                                      (10, 100, 1000))
-    worst = max(abs(s - 1.0 / 6.0) for s in report.scaled)
+    _, scaled = _riemann_residuals(lambda t: t * t, third, (10, 100, 1000))
+    worst = max(abs(s - 1.0 / 6.0) for s in scaled)
     ok = worst <= 1e-12
     _verdict(capsys, 8, "endpoint-corrected Riemann residual is exact", ok,
              f"worst deviation from 1/6: {worst:.3e}")

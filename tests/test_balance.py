@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 import permlim
 from permlim import (BalanceError, BalanceResult, SingularSystemError,
-                     balance_fixed_point, bridge_source, compute_Dn, norm_2n,
-                     quadratic_cost, sample_kernel, solve_potential)
+                     balance_fixed_point, bridge_source, compute_Dn,
+                     cosine_source, norm_2n, quadratic_cost, sample_kernel,
+                     solve_potential)
 from permlim.bridge import _BLOCK
 from test_grid import _NON_FINITE, _planted
 
@@ -235,8 +236,12 @@ def test_asymmetric_and_negative_rejected():
 
 @pytest.mark.parametrize("pair", _NON_FINITE.values(), ids=_NON_FINITE)
 def test_non_finite_rejected(pair):
-    with pytest.raises(ValueError, match="^kernel contains non-finite entries$"):
-        balance_fixed_point(_planted(pair))
+    # an array by its entries, a KernelMatrix by its recorded range
+    source = permlim.DensitySource(lambda x, y: _planted(pair))
+    for K in (_planted(pair), source(permlim.grid_nodes(4))):
+        with pytest.raises(ValueError,
+                           match="^kernel contains non-finite entries$"):
+            balance_fixed_point(K)
 
 
 def test_near_overflow_kernel_passes_the_finiteness_check():
@@ -269,21 +274,25 @@ def test_sampled_kernel_balanced_from_its_stored_triangle(quad_source,
     K._rows[below] = np.nan  # the storage's unwritten part, made visible
     res = balance_fixed_point(K, tol=1e-12)
     assert np.isnan(K._rows[below]).all()
-    full = quad_source(permlim.grid_nodes(n))
+    full = np.asarray(quad_source(permlim.grid_nodes(n)))
     assert _identity_residual(full, res.u) <= 1e-12
     assert np.array_equal(res.balanced, full * np.outer(res.u, res.u))
 
 
-@pytest.mark.parametrize("wrap", [np.asarray, permlim.KernelMatrix],
-                         ids=["array", "KernelMatrix"])
-def test_asymmetric_kernel_rejected_unless_sampled(wrap):
-    # arrays and directly built kernels keep every check
+def test_asymmetric_kernel_rejected_unless_sampled():
+    # an array keeps every entry check; a KernelMatrix is symmetric by its
+    # storage and is checked by the range its fill recorded
     K = np.ones((300, 300))
     K[200, 3] += 1e-9  # below the diagonal blocks
     with pytest.raises(ValueError, match="kernel must be symmetric"):
-        balance_fixed_point(wrap(K))
+        balance_fixed_point(K)
     with pytest.raises(ValueError, match="kernel must be symmetric"):
-        balance_fixed_point(wrap(np.array([[1.0, 2.0], [1.0, 1.0]])))
+        balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
+    # rho = 1 + 1.8 cos(pi x) cos(pi y) is negative near two corners
+    negative = cosine_source(0.9)(permlim.grid_nodes(300))
+    assert negative.value_range[0] < 0.0
+    with pytest.raises(ValueError, match="kernel entries must be nonnegative"):
+        balance_fixed_point(negative)
 
 
 @pytest.mark.parametrize("i,j", [(5, _BLOCK + 7), (299, 297)],

@@ -11,7 +11,7 @@ from permlim import (ConvergenceError, CostFunction, OverflowGuardError,
                      evaluate_potential, expression_cost, gamma0,
                      gauss_legendre, grid_nodes, quadratic_cost,
                      sample_kernel, solve_potential, tabulated_source)
-from permlim.bridge import max_asymmetry
+from permlim.bridge import _scale, max_asymmetry
 
 ZERO_COST = quadratic_cost(0.0)
 GAMMA0_QUADRATIC = 0.1529210810610881  # beta = 1 continuum value
@@ -222,6 +222,19 @@ def test_potential_solve_and_sampler_read_one_upper_triangle():
     np.testing.assert_array_equal(bridge_source(sol)(x), expected)
 
 
+def test_potential_solve_multiplies_by_the_full_gibbs_matrix():
+    # The iteration runs on G = exp(-c(x_min, x_max)) mirrored, a full
+    # product per step: the stored-triangle product rounds differently and
+    # would move the potential's last bits, and every CSV with them.
+    cost = quadratic_cost(1.0)
+    sol = solve_potential(cost, m=300)
+    x, w = sol.nodes, sol.weights
+    G = np.exp(-cost.evaluator(np.minimum.outer(x, x), np.maximum.outer(x, x)))
+    a, trace = _scale(G, w, 1e-12, 500, 1.0, lambda a, trace: None)
+    assert np.array_equal(a, sol.a_values)
+    assert tuple(trace) == sol.residual_trace
+
+
 def test_potential_solve_holds_one_gibbs_matrix():
     # The Gibbs matrix is filled in place block row by block row: 1.16 m^2
     # doubles at the peak, against 3.0 with whole-matrix C, -C and exp(-C).
@@ -344,7 +357,7 @@ def test_constant_source_trivial():
 
 def test_cosine_source_values_and_range():
     src = cosine_source(0.5)
-    K = src(np.array([0.0, 1.0]))
+    K = np.asarray(src(np.array([0.0, 1.0])))
     assert K[0, 0] == pytest.approx(2.0, abs=1e-15)
     assert K[0, 1] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
@@ -356,7 +369,7 @@ def test_cosine_source_values_and_range():
 def test_tabulated_source_interpolates():
     table = np.array([[1.0, 2.0], [2.0, 3.0]])
     src = tabulated_source(table)
-    K = src(np.array([0.0, 0.5, 1.0]))
+    K = np.asarray(src(np.array([0.0, 0.5, 1.0])))
     assert K[0, 2] == 2.0
     assert K[1, 1] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ValueError):
@@ -377,5 +390,5 @@ def test_tabulated_source_rejects_asymmetric_table():
     with pytest.raises(ValueError, match="asymmetry"):
         tabulated_source(table)
     table[0, 4], table[4, 0] = 1.0 + 1e-13, 1.0  # within 1e-12: accepted
-    K = tabulated_source(table)(np.array([0.0, 1.0]))
+    K = np.asarray(tabulated_source(table)(np.array([0.0, 1.0])))
     assert K[0, 1] == K[1, 0] == 1.0 + 1e-13  # rho(min, max) on both sides

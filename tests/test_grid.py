@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from permlim import (DensitySource, KernelMatrix, balance_fixed_point,
-                     bridge_source, centered_nystrom, compute_Dn,
-                     constant_source, cosine_source, evaluate_potential,
-                     gauss_legendre, grid_nodes, load_matrix, norm_2n,
-                     norm_inf, riemann_correction_check, sample_kernel,
-                     tabulated_source)
+from permlim import (DensitySource, balance_fixed_point, bridge_source,
+                     centered_nystrom, compute_Dn, constant_source,
+                     cosine_source, evaluate_potential, gauss_legendre,
+                     grid_nodes, load_matrix, norm_2n, norm_inf,
+                     sample_kernel, tabulated_source)
 from permlim.bridge import _BLOCK
 from permlim.cost import bilinear_interpolant
 
@@ -79,16 +78,19 @@ def test_sampled_matrices_are_rho_of_min_max_bit_for_bit(kind,
     # triangle would differ in rounding for every kind but the constant (for
     # the cosine only with 2 eps != 1, hence 0.3). perfbench's balance
     # reference relies on this construction. The sizes put block edges of
-    # the blocked sampler on every side of n.
+    # the blocked sampler on every side of n. The lower triangle is formed
+    # on the first read of the entries, and later reads return that array.
     source = {"bridge": bridge_source(quad_solution_fine),
               "cosine": cosine_source(0.3),
               "tabulated": tabulated_source(TABLE),
               "constant": constant_source()}[kind]
     for n in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 37):
         t = grid_nodes(n)
-        K = sample_kernel(source, n).entries
+        K = sample_kernel(source, n)
+        entries = K.entries
+        assert K.entries is entries and not entries.flags.writeable
         for ref in (_rho_min_max, _full_grid):
-            assert np.array_equal(K, ref(kind, t, quad_solution_fine)), n
+            assert np.array_equal(entries, ref(kind, t, quad_solution_fine)), n
     for m in (64, 2 * _BLOCK + 3):
         z, w = gauss_legendre(m)
         s = np.sqrt(w)
@@ -153,14 +155,12 @@ def test_kernel_matrix_is_its_read_only_entries(tmp_path, cosine_half,
     assert np.shares_memory(K.__array__(), K.entries)
 
 
-def test_kernel_matrix_built_directly_is_float_and_read_only():
-    source = np.array([[2, 1], [1, 2]])
-    K = KernelMatrix(source)
-    assert K.entries.dtype == float and np.asarray(K).shape[0] == 2
-    assert not np.asarray(K).flags.writeable
-    floats = source.astype(float)
-    assert np.shares_memory(KernelMatrix(floats).entries, floats)
-    assert floats.flags.writeable  # the caller's array is left writable
+def test_kernel_matrix_refuses_a_needed_copy_under_copy_false(cosine_half):
+    K = sample_kernel(cosine_half, 9)
+    assert np.shares_memory(np.asarray(K, copy=False), K.entries)
+    with pytest.raises(ValueError):
+        np.asarray(K, dtype=np.float32, copy=False)
+    assert np.asarray(K, dtype=np.float32).dtype == np.float32
 
 
 @pytest.mark.parametrize("n", [1, 5, _BLOCK, _BLOCK + 1, 300, 800])
@@ -177,18 +177,6 @@ def test_sampled_product_is_the_symmetric_product(n, quad_source):
     else:  # relative to the size of each sum; measured 3e-17 to 8e-17
         assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(full) @ np.abs(v)))
     assert (K @ v).tobytes() == got.tobytes()  # reading entries changes nothing
-
-
-@pytest.mark.parametrize("kind", ["bridge", "cosine", "tabulated", "constant"])
-def test_sampled_entries_are_the_source_matrix(kind, quad_source):
-    # the lower triangle formed on first read is the source's own mirror
-    source = {"bridge": quad_source, "cosine": cosine_source(0.3),
-              "tabulated": tabulated_source(TABLE),
-              "constant": constant_source()}[kind]
-    K = sample_kernel(source, 300)
-    entries = K.entries
-    assert entries.tobytes() == source(grid_nodes(300)).tobytes()
-    assert K.entries is entries and not entries.flags.writeable
 
 
 @pytest.mark.parametrize("i,j", [(0, 299), (_BLOCK + 1, 200), (299, 299)],
@@ -238,34 +226,48 @@ def test_norms():
     assert norm_2n(v) == pytest.approx(math.sqrt(12.5), abs=1e-15)
 
 
+def _riemann_residuals(f, integral, n_list):
+    """r_n = |R_n(f) - integral - (f(1) - f(0)) / (2n)| for each n, R_n the
+    right-endpoint Riemann sum, and n^2 r_n, bounded for twice continuously
+    differentiable f.
+
+    f is evaluated on long-double nodes, so the residuals show the analytic
+    n^-2 term and not accumulated rounding, which would dominate once
+    n^2 r_n drops below n^2 * eps. For the same reason pass ``integral`` as
+    an np.longdouble when it is not a double.
+    """
+    jump = (np.longdouble(f(np.longdouble(1.0)))
+            - np.longdouble(f(np.longdouble(0.0))))
+    residuals, scaled = [], []
+    for n in n_list:
+        t = np.arange(1, n + 1, dtype=np.longdouble) / np.longdouble(n)
+        rsum = np.sum(np.asarray(f(t), dtype=np.longdouble)) / np.longdouble(n)
+        r = abs(rsum - np.longdouble(integral) - jump / (2 * np.longdouble(n)))
+        residuals.append(float(r))
+        scaled.append(float(np.longdouble(n * n) * r))
+    return residuals, scaled
+
+
 def test_riemann_correction_square():
     # the reference integral 1/3 is passed in extended precision: a double
     # reference alone would shift the n=1000 scaled residual by ~2e-11
     third = np.longdouble(1.0) / np.longdouble(3.0)
-    report = riemann_correction_check(lambda t: t * t, third, [10, 100, 1000])
-    for scaled in report.scaled:
+    for scaled in _riemann_residuals(lambda t: t * t, third, [10, 100, 1000])[1]:
         assert scaled == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_riemann_correction_linear_exact():
-    report = riemann_correction_check(lambda t: t, 0.5, [10, 50])
-    assert max(report.residuals) <= 1e-15
+    residuals, _ = _riemann_residuals(lambda t: t, 0.5, [10, 50])
+    assert max(residuals) <= 1e-15
 
 
 def test_riemann_correction_cosine_bounded():
     # the leading correction terms cancel for this integrand, so the scaled
     # residual is tiny rather than order one; boundedness is all the rate
     # statement promises
-    report = riemann_correction_check(lambda t: np.cos(np.pi * t), 0.0,
-                                      [10, 20, 40, 80])
-    assert max(report.scaled) <= 1e-10
-
-
-def test_riemann_correction_argument_checks():
-    with pytest.raises(ValueError):
-        riemann_correction_check(lambda t: t, 0.5, [])
-    with pytest.raises(ValueError):
-        riemann_correction_check(lambda t: t, 0.5, [0, 4])
+    _, scaled = _riemann_residuals(lambda t: np.cos(np.pi * t), 0.0,
+                                   [10, 20, 40, 80])
+    assert max(scaled) <= 1e-10
 
 
 def test_matrix_file_roundtrip(tmp_path, cosine_half, write_matrix):
@@ -280,6 +282,9 @@ def test_matrix_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1.0 2.0 3.0\n")
     with pytest.raises(ValueError, match="expected 4 values"):
+        load_matrix(bad)
+    bad.write_text("-2\n1.0 2.0 3.0 4.0\n")  # the count matches (-2)^2
+    with pytest.raises(ValueError, match="^matrix size -2 in .* must be >= 1$"):
         load_matrix(bad)
     empty = tmp_path / "empty.txt"
     empty.write_text("")

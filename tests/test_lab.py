@@ -635,6 +635,26 @@ csv_path = {tmp_path / "o.csv"}
     assert "asymmetry" in err[0]
 
 
+def test_cli_matrix_size_below_one_maps_to_config_code(tmp_path, capsys):
+    # four values match the count (-2)^2; the size line alone is wrong
+    (tmp_path / "k.txt").write_text("-2\n1.0 1.0 1.0 1.0\n")
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[kernel]
+kind = tabulated
+path = k.txt
+
+[study]
+n_list = 2
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+""")
+    assert main(["balance-study", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: ")
+    assert "matrix size -2 in" in err[0] and "must be >= 1" in err[0]
+
+
 def test_cli_unwritable_csv_maps_to_config_code(tmp_path, capsys,
                                                 monkeypatch):
     cfg = _write_config(tmp_path / "c.ini", f"""

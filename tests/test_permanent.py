@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 import permlim.permanent as permanent_module
 from permlim import (CapExceededError, RunConfig, RuntimeBudgetWarning,
                      balance_fixed_point, bridge_source, compute_Dn,
-                     cosine_source, gamma0, grid_nodes, permanent_brute,
-                     quadratic_cost, run_converge, sample_kernel,
-                     solve_potential)
+                     cosine_source, gamma0, grid_nodes, load_config,
+                     permanent_brute, quadratic_cost, run_converge,
+                     sample_kernel, solve_potential)
 
 ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
@@ -437,6 +437,54 @@ def test_cosine_oracle_matches_exact_permanent():
             K = sample_kernel(cosine_source(eps), n)
             assert _rel_err(float(_cosine_Dn(n, eps)),
                             _exact_Dn(K.entries)) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.45])
+def test_closed_form_cost_through_the_whole_chain(eps, tmp_path):
+    # c = log(1 + 2 eps) - log(1 + 2 eps cos(pi x) cos(pi y)) has the
+    # constant potential a* = -log(1 + 2 eps) / 2, since the integral of
+    # cos(pi y) is 0, so gamma0 = log(1 + 2 eps), the sampled kernel is the
+    # rank-two cosine kernel, L_n_scaled = D_n, and the limit is
+    # (1 - eps^2)^(-1/2). The solve reaches a residual of about 1.5e-15 in
+    # two products here, so tol = 1e-14 bounds the potential's error delta
+    # on the nodes, and so the spread of a and the gamma0 error 2|mean delta|.
+    tol = 1e-14
+    path = tmp_path / "c.ini"
+    path.write_text(f"""
+[cost]
+family = custom-expression
+expression = log(1 + 2*{eps}) - log(1 + 2*{eps}*cos(pi*x)*cos(pi*y))
+
+[bridge]
+tol = {tol}
+
+[study]
+n_list = 20 22 24 26
+workers = 2
+
+[output]
+csv_path = {tmp_path / "o.csv"}
+""")
+    cfg = load_config(str(path))
+    records = run_converge(cfg)
+    a = solve_potential(cfg.cost, m=cfg.bridge_m, tol=cfg.bridge_tol)
+    assert np.ptp(a.a_values) <= tol  # measured 1.1e-15
+    assert abs(gamma0(a) - math.log(1.0 + 2.0 * eps)) <= 2.0 * tol  # 1.2e-15
+    # A potential error delta at the grid nodes scales K to
+    # diag(exp(-delta)) K diag(exp(-delta)), so D_n moves by
+    # exp(-2 sum_i delta_i): at most 2 n delta relative. L_n_scaled
+    # multiplies D_n by exp(2 sum_i a(i/n) + n gamma0), which cancels the
+    # sum and adds n |delta gamma0| <= 2 n delta. Rounding each entry by
+    # up to 4 ulp moves a positive permanent by n * 4 ulp more, and the
+    # permanent rounds within 1e-14. Measured: D_n 1.5e-14, L_n_scaled
+    # 3.2e-14 at most; the bound is 5.5e-13 at n = 26.
+    for r in records:
+        bound = r.n * (2.0 * tol + 4.0 * np.finfo(float).eps) + 1e-14
+        exact = float(_cosine_Dn(r.n, eps))
+        assert _rel_err(r.D_n, exact) <= bound, r.n
+        assert _rel_err(r.L_n_scaled, exact) <= bound, r.n
+        assert _rel_err(r.fredholm_limit, (1.0 - eps * eps) ** -0.5) \
+            <= 4.0 * np.finfo(float).eps  # measured 1.1e-16
 
 
 def test_exact_oracle_matches_brute_force():
