@@ -1,14 +1,13 @@
 """Right-endpoint grid sampling of densities.
 
 A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
-i, j = 1..n, the right endpoints of the uniform partition of [0,1]: the
-density source called on the node vector i/n, a
-:class:`permlim.bridge.KernelMatrix` that stores one triangle and is
-symmetric by its storage. Sampling checks the range of the stored entries,
-which the fill records, for finiteness and positivity, and averages
-nothing. The normalised kernel K/n has row sums close to 1, up to the
-right-endpoint Riemann-sum error, O(1/n) in each row and O(1/n^2) on
-average.
+i, j = 1..n, the right endpoints of the uniform partition of [0,1]. K is
+the density source called on the node vector i/n, a
+:class:`permlim.bridge.KernelMatrix`: one stored triangle, symmetric by its
+storage. Sampling checks the range of the stored entries, which the fill
+records, for finiteness and positivity, and averages nothing. The
+normalised kernel K/n has row sums close to 1, up to the right-endpoint
+Riemann-sum error, O(1/n) in each row and O(1/n^2) on average.
 """
 
 from __future__ import annotations
