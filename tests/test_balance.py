@@ -279,15 +279,18 @@ def test_sampled_kernel_balanced_from_its_stored_triangle(quad_source,
     assert np.array_equal(res.balanced, full * np.outer(res.u, res.u))
 
 
-def test_asymmetric_kernel_rejected_unless_sampled():
+@pytest.mark.parametrize("kind", ["array", "KernelMatrix"])
+def test_asymmetric_kernel_rejected_unless_sampled(kind):
     # an array keeps every entry check; a KernelMatrix is symmetric by its
     # storage and is checked by the range its fill recorded
-    K = np.ones((300, 300))
-    K[200, 3] += 1e-9  # below the diagonal blocks
-    with pytest.raises(ValueError, match="kernel must be symmetric"):
-        balance_fixed_point(K)
-    with pytest.raises(ValueError, match="kernel must be symmetric"):
-        balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
+    if kind == "array":
+        K = np.ones((300, 300))
+        K[200, 3] += 1e-9  # below the diagonal blocks
+        with pytest.raises(ValueError, match="kernel must be symmetric"):
+            balance_fixed_point(K)
+        with pytest.raises(ValueError, match="kernel must be symmetric"):
+            balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
+        return
     # rho = 1 + 1.8 cos(pi x) cos(pi y) is negative near two corners
     negative = cosine_source(0.9)(permlim.grid_nodes(300))
     assert negative.value_range[0] < 0.0

@@ -179,6 +179,21 @@ def test_sampled_product_is_the_symmetric_product(n, quad_source):
     assert (K @ v).tobytes() == got.tobytes()  # reading entries changes nothing
 
 
+@pytest.mark.parametrize("kind", ["bridge", "cosine", "tabulated", "constant"])
+def test_sampled_entries_are_the_source_matrix(kind, quad_solution_fine):
+    # the lower triangle formed on first read is the unblocked construction's
+    # mirror, and later reads return that same read-only array
+    source = {"bridge": bridge_source(quad_solution_fine),
+              "cosine": cosine_source(0.3),
+              "tabulated": tabulated_source(TABLE),
+              "constant": constant_source()}[kind]
+    K = sample_kernel(source, 300)
+    entries = K.entries
+    want = _full_grid(kind, grid_nodes(300), quad_solution_fine)
+    assert entries.tobytes() == want.tobytes()
+    assert K.entries is entries and not entries.flags.writeable
+
+
 @pytest.mark.parametrize("i,j", [(0, 299), (_BLOCK + 1, 200), (299, 299)],
                          ids=["first block row", "middle block", "last diagonal"])
 def test_sample_checks_every_stored_block(i, j):
