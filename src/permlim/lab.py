@@ -250,7 +250,8 @@ def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
         print(f"n={r.n:4d}  D_n={r.D_n:.12g}  D_n_hat={r.D_n_hat:.12g}  "
               f"mccullagh={r.mccullagh:.12g}  err_Dn={r.err_Dn:.3e}")
     print(f"fredholm_limit = {fredholm.fredholm_limit!r} "
-          f"(m={config.nystrom_m}, converged={fredholm.converged})")
+          f"(m={config.nystrom_m}, gap {fredholm.refinement_gap:.3e} "
+          f"from m={config.nystrom_m // 2}, converged={fredholm.converged})")
     alpha, used = fit_rate(config.n_list, [r.err_Dn for r in records])
     if alpha is not None:
         print(f"fitted rate alpha = {alpha:.3f} (fit on n in {list(used)})")

@@ -46,7 +46,10 @@ class SpectrumReport:
     ``fredholm_limit`` is exp(-1/2 sum log(1 - lambda^2)) over all of
     ``eigenvalues``, so it can be reconstructed from the report alone;
     ``lambda_star`` is their largest modulus and ``refinement_gap`` the
-    relative change of the limit from m to 2m.
+    relative change of the limit from the check resolution m // 2 to m,
+    an upper estimate of its error at m; it is inf when the m // 2 level
+    is too coarse to resolve the source (an aliased eigenvalue of modulus
+    1 or more, or a determinant beyond the double range).
     """
 
     eigenvalues: np.ndarray
@@ -96,11 +99,7 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
     """
     if m < MIN_RESOLUTION:
         raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
-    z, w = gauss_legendre(m)
-    s = np.sqrt(w)
-    S = np.subtract(source(z), 1.0)
-    S *= np.outer(s, s)
-    return S
+    return _nystrom(source, m)
 
 
 def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
@@ -108,12 +107,19 @@ def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
 
     The product runs over all m eigenvalues of the centered Nystrom
     matrix, as a sum of logarithms, with the gap check of
-    :func:`mccullagh_estimate`. A SpectralGapWarning is emitted when the
-    largest |lambda| at resolution m reaches 0.99, where the product is
-    close to divergent. The estimate is recomputed at resolution 2m; if
-    the two values disagree by more than 1e-5 relative, a
-    RefinementWarning is emitted and the report is marked not converged,
-    but the resolution-m value is still returned.
+    :func:`mccullagh_estimate`; a SpectralGapError at resolution m is
+    raised. A SpectralGapWarning is emitted when the largest |lambda| at
+    resolution m reaches 0.99, where the product is close to divergent.
+
+    The estimate is checked from below, at m // 2 (which may be under
+    MIN_RESOLUTION): the Nystrom determinant converges at the rate of the
+    quadrature (Bornemann, Math. Comp. 2010), so the m // 2 to m gap is at
+    least the error at m. If the two values disagree by more than 1e-5
+    relative, a RefinementWarning is emitted and the report is marked not
+    converged, but the resolution-m value is still returned. A coarse
+    level too crude to resolve the source can alias an eigenvalue to
+    modulus 1 or more, or overflow the determinant; that gives gap inf
+    and the same warning, not an error.
     """
     value, eigs, lam_star = _centered_determinant(centered_nystrom(source, m))
     if lam_star >= _GAP_WARN:
@@ -121,17 +127,31 @@ def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
             f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
             f">= {_GAP_WARN}; the limiting product is close to divergent",
             SpectralGapWarning, stacklevel=2)
-    value2 = _centered_determinant(centered_nystrom(source, 2 * m))[0]
-    gap = abs(value2 / value - 1.0)
+    coarse = m // 2
+    try:
+        gap = abs(_centered_determinant(_nystrom(source, coarse))[0] / value
+                  - 1.0)
+    except SpectralGapError:
+        gap = math.inf
     converged = gap <= _REFINEMENT_TOL
     if not converged:
         warnings.warn(
-            f"Fredholm estimate moved by {gap:.3e} relative between m={m} and "
-            f"m={2 * m}; reporting the m={m} value as non-converged",
-            RefinementWarning, stacklevel=2)
+            f"Fredholm estimate moved by {gap:.3e} relative between "
+            f"m={coarse} and m={m}; reporting the m={m} value as "
+            "non-converged", RefinementWarning, stacklevel=2)
     return SpectrumReport(eigenvalues=eigs, lambda_star=lam_star,
                           fredholm_limit=value, converged=converged,
                           refinement_gap=gap)
+
+
+def _nystrom(source: DensitySource, m: int) -> np.ndarray:
+    """:func:`centered_nystrom` without its resolution minimum, so the
+    check level m // 2 of :func:`fredholm_limit` can go below it."""
+    z, w = gauss_legendre(m)
+    s = np.sqrt(w)
+    S = np.subtract(source(z), 1.0)
+    S *= np.outer(s, s)
+    return S
 
 
 def _centered_determinant(S):
