@@ -80,7 +80,8 @@ class SpectralGapWarning(PermlimWarning):
 
 
 class RefinementWarning(PermlimWarning):
-    """Resolution refinement (m vs 2m) disagreement beyond tolerance."""
+    """The Fredholm limit at m disagrees with its check at m // 2 beyond
+    tolerance, or the check level is too coarse to evaluate."""
 
 
 class RuntimeBudgetWarning(PermlimWarning):

@@ -10,7 +10,12 @@ for symmetric A equals det(I - B^2)^(-1/2); in the continuum the same role
 is played by the Fredholm determinant of the centered integral operator,
 estimated here by Gauss-Legendre Nystrom discretisation (Bornemann, Math.
 Comp. 2010), which converges exponentially in the resolution for an
-analytic density and algebraically for a merely continuous one.
+analytic density and algebraically for a merely continuous one. Because
+it converges at the rate of the quadrature, the value at m is checked
+from below, against m // 2, and their gap estimates the error at m from
+above. A check level too coarse for the source, whose aliased spectrum
+loses the gap or overflows the determinant, reports an infinite gap
+instead of failing.
 
 Both are one functional of a symmetric centered matrix: B = (K_bal - 1)/n
 is the centered operator on the right-endpoint rule, the Nystrom matrix
@@ -113,11 +118,11 @@ def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
 
     The estimate is checked from below, at m // 2 (which may be under
     MIN_RESOLUTION): the Nystrom determinant converges at the rate of the
-    quadrature (Bornemann, Math. Comp. 2010), so the m // 2 to m gap is at
-    least the error at m. If the two values disagree by more than 1e-5
-    relative, a RefinementWarning is emitted and the report is marked not
-    converged, but the resolution-m value is still returned. A coarse
-    level too crude to resolve the source can alias an eigenvalue to
+    quadrature (Bornemann, Math. Comp. 2010), so the m // 2 to m gap
+    estimates the error at m from above. If the two values disagree by
+    more than 1e-5 relative, a RefinementWarning is emitted and the report
+    is marked not converged, but the resolution-m value is still returned.
+    A check level too coarse for the source can alias an eigenvalue to
     modulus 1 or more, or overflow the determinant; that gives gap inf
     and the same warning, not an error.
     """
@@ -129,10 +134,10 @@ def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
             SpectralGapWarning, stacklevel=2)
     coarse = m // 2
     try:
-        gap = abs(_centered_determinant(_nystrom(source, coarse))[0] / value
-                  - 1.0)
-    except SpectralGapError:
-        gap = math.inf
+        coarse_value = _centered_determinant(_nystrom(source, coarse))[0]
+    except SpectralGapError:  # the check level aliases: no estimate
+        coarse_value = math.inf
+    gap = abs(coarse_value / value - 1.0)
     converged = gap <= _REFINEMENT_TOL
     if not converged:
         warnings.warn(

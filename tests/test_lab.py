@@ -297,6 +297,7 @@ def test_converge_constant_kernel(constant_converge_cfg, capsys):
         assert math.isnan(r.L_n_scaled)  # synthetic kernel has no cost
     out = capsys.readouterr().out
     assert "rate: exact" in out
+    assert "(m=64, gap 0.000e+00 from m=32, converged=True)" in out
     csv_lines = Path(cfg.csv_path).read_text().splitlines()
     assert csv_lines[0] == CONVERGE_HEADER
     assert len(csv_lines) == 4

@@ -7,7 +7,7 @@ import pytest
 from permlim import (DensitySource, RefinementWarning, SpectralGapError,
                      SpectralGapWarning, absolute_cost, balance_fixed_point,
                      bridge_source, centered_nystrom, compute_Dn,
-                     cosine_source, fredholm_limit, gamma0,
+                     cosine_source, expression_cost, fredholm_limit, gamma0,
                      mccullagh_estimate, quadratic_cost, sample_kernel,
                      solve_potential, tabulated_source)
 
@@ -184,12 +184,51 @@ def test_fredholm_eigenvalue_at_or_above_one_fails():
 @pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning")
 def test_fredholm_refinement_warning():
     # the kink of beta |x - y| slows the Nystrom limit to algebraic
-    # convergence: the m = 32 and m = 64 values differ by about 2e-3
+    # convergence: the m = 16 and m = 32 values differ by about 6e-3
     src = bridge_source(solve_potential(absolute_cost(3.0), m=64))
     with pytest.warns(RefinementWarning):
         report = fredholm_limit(src, 32)
     assert not report.converged
     assert report.refinement_gap > 1e-5
+
+
+# (cost, gate(gap, err)) with err the true relative error at m = 128
+# against m = 1024 and gap the m // 2 = 64 check. Measured: quadratic
+# both at most 2.2e-16; abs(x - y)**3, a C2 cost, converges as m^-4 and
+# its gap/err ratio is 14.4-16.1 from m = 64 to 512; the kink of
+# |x - y| gives m^-2 and a ratio of 2.9-4.0.
+_ESTIMATE_GATES = {
+    "quadratic": (quadratic_cost(1.0), lambda gap, err: gap <= 1e-14),
+    "cubic": (expression_cost("abs(x - y)**3"),
+              lambda gap, err: err <= gap <= 20.0 * err),
+    "absolute": (absolute_cost(1.0), lambda gap, err: gap >= err > 0.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore::permlim.SmoothnessWarning",
+                            "ignore::permlim.RefinementWarning")
+@pytest.mark.parametrize("name", sorted(_ESTIMATE_GATES))
+def test_fredholm_gap_bounds_error_against_large_m(name):
+    cost, gate = _ESTIMATE_GATES[name]
+    src = bridge_source(solve_potential(cost))
+    reference = fredholm_limit(src, 1024).fredholm_limit
+    report = fredholm_limit(src, 128)
+    err = abs(report.fredholm_limit / reference - 1.0)
+    assert gate(report.refinement_gap, err), (report.refinement_gap, err)
+
+
+@pytest.mark.parametrize("m", [32, 33, 128])
+def test_fredholm_samples_at_m_and_half_m_only(quad_source, m):
+    sizes = []
+
+    def potential(t):  # called once per sampling of the source
+        sizes.append(t.size)
+        return quad_source.potential(t)
+
+    report = fredholm_limit(DensitySource(quad_source.density, potential), m)
+    assert sorted(sizes) == [m // 2, m]
+    assert report.fredholm_limit == fredholm_limit(quad_source,
+                                                   m).fredholm_limit
 
 
 def test_fredholm_argument_checks(const_source):
@@ -239,6 +278,17 @@ def test_fredholm_large_value_does_not_underflow():
     assert math.isfinite(report.fredholm_limit)
     assert report.fredholm_limit == pytest.approx((1.0 - 0.999**2) ** -75,
                                                   rel=1e-2)
+
+
+def test_fredholm_aliased_check_level_is_infinite_gap():
+    # 150 modes alias on the 128 nodes of the m // 2 level, to an
+    # eigenvalue of modulus about 1.998: a gap error there, not at m
+    with pytest.warns(SpectralGapWarning), \
+            pytest.warns(RefinementWarning, match="moved by inf"):
+        report = fredholm_limit(_cosine_sum_source(0.999), 256)
+    assert report.refinement_gap == math.inf
+    assert report.converged is False
+    assert report.lambda_star == pytest.approx(0.999, abs=1e-6)
 
 
 def test_fredholm_value_beyond_double_range_is_gap_error():
