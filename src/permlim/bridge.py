@@ -69,10 +69,17 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     x[:psi.size] = np.cos(theta)
     # recurrence passes: 3 (4 at m = 2) below m = 22, 2 up to m = 1800, 1
     # from m = 1900; checked for m = 2..1200 and every 100 up to 4096
+    p0, p1, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for _ in range(10):
-        p0, p1 = np.ones_like(x), x  # P_{j-1}(x), P_j(x)
+        p0.fill(1.0)  # P_{j-1}(x)
+        np.copyto(p1, x)  # P_j(x)
         for j in range(2, m + 1):
-            p0, p1 = p1, (2.0 - 1.0 / j) * x * p1 - (1.0 - 1.0 / j) * p0
+            # ((2 - 1/j) x) p1 - (1 - 1/j) p0, in three reused buffers
+            np.multiply(2.0 - 1.0 / j, x, out=t)
+            t *= p1
+            p0 *= 1.0 - 1.0 / j
+            np.subtract(t, p0, out=p0)
+            p0, p1 = p1, p0
         dp = m * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
         dx = p1 / dp
         x = x - dx
@@ -289,31 +296,39 @@ class KernelMatrix:
     The constructor fills the matrix _BLOCK rows at a time, each block row
     P = rho[s:e, s:] from the diagonal rightwards only, so ``density`` (c
     for a Gibbs source) is read at (t_min, t_max) only, and each diagonal
-    block is whole; nothing below the diagonal blocks is written, and no
-    n x n temporary is made. A Gibbs block is negated, shifted and
-    exponentiated in place, in the order -c - a_i - a_j; a non-finite
-    exponent raises ValueError, and one beyond +/-700 OverflowGuardError,
-    before exp runs on its block. ``value_range`` is the (min, max) of the
-    stored entries, recorded during the fill; it is nan when any entry is.
+    block is whole. The block rows are packed one after another at the
+    front of one n * n buffer, each a contiguous (e - s, n - s) array, so
+    the fill touches about n (n + _BLOCK) / 2 of its doubles and no n x n
+    temporary is made. A Gibbs block is negated, shifted and exponentiated
+    in place, in the order -c - a_i - a_j; a non-finite exponent raises
+    ValueError, and one beyond +/-700 OverflowGuardError, before exp runs
+    on its block. ``value_range`` is the (min, max) of the stored entries,
+    recorded during the fill; it is nan when any entry is.
 
     ``K @ v`` is the symmetric product over the block rows,
     out[s:e] += P @ v[s:] and out[e:] += P[:, e-s:].T @ v[s:e] (the plain
     P @ v for n <= _BLOCK). The first read of ``entries`` or
-    ``np.asarray(K)`` copies the stored blocks into the lower triangle,
-    once, in place: both triangles then hold rho(t_min, t_max), the matrix
-    is exactly symmetric, and it is a read-only array, not a copy.
-    Products keep their block form.
+    ``np.asarray(K)`` expands the buffer into the full matrix, once, in
+    place: from the last block row to the first, each is copied to rows
+    s..e-1 from column s and mirrored into the strip below it, so no second
+    n x n array is made. Both triangles then hold rho(t_min, t_max), the
+    matrix is exactly symmetric, and it is a read-only array, not a copy.
+    Products keep their block form, over views of the full rows, and their
+    bits.
     """
 
     def __init__(self, source: DensitySource, t):
         t = np.asarray(t, dtype=float)
         n = t.size
         a = None if source.potential is None else source.potential(t)
-        rows = np.empty((n, n))
+        self._buffer = np.empty(n * n)
+        self._blocks = []  # the block rows P, packed until expanded
         lo, hi = math.inf, -math.inf
+        at = 0  # where the next block row starts in the buffer
         for s in range(0, n, _BLOCK):
             e = min(s + _BLOCK, n)
-            row = rows[s:e, s:]  # a view: rows s..e-1, columns from s on
+            row = self._buffer[at:at + (e - s) * (n - s)].reshape(e - s, n - s)
+            at += row.size
             if a is None:
                 row[...] = source.density(t[s:e], t[s:])
             else:
@@ -327,23 +342,31 @@ class KernelMatrix:
             diag = row[:, :e - s]
             np.copyto(diag, diag.T, where=np.tri(e - s, k=-1, dtype=bool))
             lo, hi = np.minimum(lo, row.min()), np.maximum(hi, row.max())  # keeps nan
-        self._rows = rows
+            self._blocks.append(row)
         self._full = n <= _BLOCK  # one diagonal block is the whole matrix
-        self._entries = rows.view()
+        self._entries = self._buffer.reshape(n, n)
         self._entries.setflags(write=False)
         self.value_range = (float(lo), float(hi))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._rows.shape
+        return self._entries.shape
 
     @property
     def entries(self) -> np.ndarray:
         if not self._full:
-            rows, n = self._rows, self._rows.shape[0]
-            for s in range(0, n, _BLOCK):
-                e = min(s + _BLOCK, n)
-                rows[e:, s:e] = rows[s:e, e:].T
+            n = self.shape[0]
+            full = self._buffer.reshape(n, n)
+            starts = range(0, n, _BLOCK)
+            # a block row is packed at or before its place in the full
+            # matrix, and that place lies past every earlier block row's
+            # packed storage, so the last moves first; copyto buffers a
+            # block row that overlaps its own place
+            for s, P in reversed([*zip(starts, self._blocks)]):
+                e = s + P.shape[0]
+                np.copyto(full[s:e, s:], P)
+                full[e:, s:e] = full[s:e, e:].T
+            self._blocks = [full[s:s + _BLOCK, s:] for s in starts]
             self._full = True
         return self._entries
 
@@ -354,13 +377,12 @@ class KernelMatrix:
         return (np.array if copy else np.asarray)(self.entries, dtype=dtype)
 
     def __matmul__(self, v) -> np.ndarray:
-        rows, n = self._rows, self._rows.shape[0]
+        n = self.shape[0]
         if n <= _BLOCK:
-            return rows @ v
+            return self._entries @ v
         out = np.zeros(n)
-        for s in range(0, n, _BLOCK):
-            e = min(s + _BLOCK, n)
-            P = rows[s:e, s:]
+        for s, P in zip(range(0, n, _BLOCK), self._blocks):
+            e = s + P.shape[0]
             out[s:e] += P @ v[s:]
             out[e:] += P[:, e - s:].T @ v[s:e]
         return out

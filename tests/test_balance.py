@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import permlim
-from permlim import (BalanceError, BalanceResult, SingularSystemError,
-                     balance_fixed_point, bridge_source, compute_Dn,
-                     cosine_source, norm_2n, quadratic_cost, sample_kernel,
-                     solve_potential)
+from permlim import (BalanceError, BalanceResult, KernelMatrix,
+                     SingularSystemError, balance_fixed_point, bridge_source,
+                     compute_Dn, cosine_source, norm_2n, quadratic_cost,
+                     sample_kernel, solve_potential)
 from permlim.bridge import _BLOCK
 from test_grid import _NON_FINITE, _planted
 
@@ -221,6 +221,23 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_balance_study_loads_no_numpy_random(tmp_path):
+    # the invertibility check's start vector is a fixed hash, so a
+    # balance-study process never pays for importing numpy.random
+    cfg = tmp_path / "study.ini"
+    cfg.write_text("[cost]\nfamily = quadratic\n\n[study]\nn_list = 8 200\n\n"
+                   f"[output]\ncsv_path = {tmp_path / 'bal.csv'}\n")
+    src = os.path.dirname(os.path.dirname(permlim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from permlim.cli import main; "
+         f"code = main(['balance-study', '--config', {str(cfg)!r}]); "
+         "print(code, 'numpy.random' in sys.modules, file=sys.stderr)"],
+        env=env, capture_output=True, text=True, check=True).stderr
+    assert out.strip() == "0 False"
+
+
 def test_zero_row_rejected():
     K = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(BalanceError, match="zero row"):
@@ -262,18 +279,19 @@ def test_overflowing_row_sums_rejected_before_iterating():
 def test_sampled_kernel_balanced_from_its_stored_triangle(quad_source,
                                                          monkeypatch):
     # a sampled kernel is symmetric by its storage: balancing runs no
-    # symmetry scan and never reads below the diagonal blocks
+    # symmetry scan and multiplies by the stored block rows, never reading
+    # the full matrix, which would expand it
     def no_scan(M):
         raise AssertionError("max_asymmetry called")
 
+    def no_expansion(K):
+        raise AssertionError("sampled kernel expanded")
+
     monkeypatch.setattr(permlim.balance, "max_asymmetry", no_scan)
+    monkeypatch.setattr(KernelMatrix, "entries", property(no_expansion))
     n = 300
-    K = sample_kernel(quad_source, n)
-    block = np.arange(n) // _BLOCK
-    below = block[:, None] > block[None, :]
-    K._rows[below] = np.nan  # the storage's unwritten part, made visible
-    res = balance_fixed_point(K, tol=1e-12)
-    assert np.isnan(K._rows[below]).all()
+    res = balance_fixed_point(sample_kernel(quad_source, n), tol=1e-12)
+    monkeypatch.undo()
     full = np.asarray(quad_source(permlim.grid_nodes(n)))
     assert _identity_residual(full, res.u) <= 1e-12
     assert np.array_equal(res.balanced, full * np.outer(res.u, res.u))
