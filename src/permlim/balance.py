@@ -10,18 +10,20 @@ K per iteration.
 The perturbative theory writes u = 1 + h and needs I + R, R = K / n,
 invertible; under the spectral gap it is symmetric positive definite. A
 conjugate-gradient run (Hestenes and Stiefel, 1952) of at most 12 steps on
-a fixed generic vector checks that up front, and the iteration stops if h
-leaves the ball norm_2n(h) <= 0.5 where the theory holds.
+a fixed generic vector, a hash of 1..n, checks that up front, and the
+iteration stops if h leaves the ball norm_2n(h) <= 0.5 where the theory
+holds.
 
 A :class:`permlim.bridge.KernelMatrix`, what sampling returns, is
-symmetric by its storage, one triangle, and records the range of its stored
-entries as it is filled. Balancing checks that range, finite and
-nonnegative, and the row sums K @ 1, for overflow and zero rows, and
-multiplies by K over its stored triangle. An array is checked entry by
-entry first: finite, nonnegative, and symmetric within 1e-12 over tiles of
-the upper triangle. R is never formed, and the balanced matrix and the size
-measures of h are formed only when read: beyond the kernel, balancing
-allocates vectors and small tiles, not n x n arrays.
+symmetric by its storage, one triangle packed block row by block row, and
+records the range of its stored entries as it is filled. Balancing checks
+that range, finite and nonnegative, and the row sums K @ 1, for overflow
+and zero rows, and multiplies by K over its packed block rows, so it never
+expands them into the full matrix; reading ``balanced`` does. An array is
+checked entry by entry first: finite, nonnegative, and symmetric within
+1e-12 over tiles of the upper triangle. R is never formed, and the balanced
+matrix and the size measures of h are formed only when read: beyond the
+kernel, balancing allocates vectors and small tiles, not n x n arrays.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from .grid import norm_2n, norm_inf
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
 _SYM_TOL = 1e-12
 _CHECK_RTOL = 1e-15  # the singularity check stops at this relative residual
-_CHECK_STEPS = 12  # cap of the singularity check; measured kernels stop in
-# 5-10 (quadratic bridge, beta 0.5 to 16, n 8 to 3200; beta 16 takes 10)
+# cap of the singularity check; measured kernels stop in 5-10 steps
+# (quadratic bridge at beta 0.5, 2 and 16, n 8 to 3200; beta 16 takes 10)
+_CHECK_STEPS = 12
 
 
 @dataclass(frozen=True)

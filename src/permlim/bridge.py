@@ -22,8 +22,9 @@ one of them converges exponentially in m.
 A :class:`DensitySource` sampled on a node vector is one type,
 :class:`KernelMatrix`: the solver's Gibbs matrix, the Nystrom matrices and
 the grid kernels of :mod:`permlim.grid` alike. It alone knows the stored
-triangle: it reads c on and above the diagonal only, so the cost must be
-symmetric, and :mod:`permlim.lab` checks that before a solve.
+triangle, packed block row by block row at the front of its buffer: it
+reads c on and above the diagonal only, so the cost must be symmetric, and
+:mod:`permlim.lab` checks that before a solve.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def solve_potential(
     potential: c is read on and above the diagonal only, as the sampler
     reads it, and a non-finite cost raises ValueError before exp runs. Its
     recorded range bounds the exponent of every update, and the iteration
-    multiplies by the full matrix, mirrored once.
+    multiplies by the full matrix, expanded once in place.
     """
     if m < MIN_NODES:
         raise ValueError(f"m must be >= {MIN_NODES}")

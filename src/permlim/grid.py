@@ -4,10 +4,12 @@ A density rho is discretised into the matrix K[i, j] = rho(i/n, j/n) with
 i, j = 1..n, the right endpoints of the uniform partition of [0,1]. K is
 the density source called on the node vector i/n, a
 :class:`permlim.bridge.KernelMatrix`: one stored triangle, symmetric by its
-storage. Sampling checks the range of the stored entries, which the fill
-records, for finiteness and positivity, and averages nothing. The
-normalised kernel K/n has row sums close to 1, up to the right-endpoint
-Riemann-sum error, O(1/n) in each row and O(1/n^2) on average.
+storage, whose block rows are packed at the front of its n * n buffer, so
+sampling makes about half of that buffer resident. Sampling checks the
+range of the stored entries, which the fill records, for finiteness and
+positivity, and averages nothing. The normalised kernel K/n has row sums
+close to 1, up to the right-endpoint Riemann-sum error, O(1/n) in each row
+and O(1/n^2) on average.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ def sample_kernel(source: DensitySource, n: int) -> KernelMatrix:
 
     The result is ``source(grid_nodes(n))``, one stored triangle (see
     :class:`permlim.bridge.KernelMatrix`), so no averaging or symmetry
-    check happens here and the lower triangle is formed only when read.
-    Every stored entry must be finite and strictly positive, as judged by
-    the range the fill recorded: balancing and the permanent limits are
-    stated for positive kernels.
+    check happens here and the full matrix is formed, in place, only when
+    read. Every stored entry must be finite and strictly positive, as
+    judged by the range the fill recorded: balancing and the permanent
+    limits are stated for positive kernels.
     """
     with np.errstate(all="ignore"):  # non-finite values are rejected below
         K = source(grid_nodes(n))

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import permlim
 from permlim import (bridge_source, constant_source, cosine_source,
                      quadratic_cost, solve_potential)
 
@@ -12,6 +15,15 @@ def _private_kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
         yield
+
+
+@pytest.fixture
+def source_env():
+    """The environment of a subprocess that imports permlim from the
+    sources under test."""
+    src = os.path.dirname(os.path.dirname(permlim.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -210,31 +209,25 @@ def test_sample_and_balance_hold_one_kernel_plus_blocks(quad_source):
     assert peak <= K.entries.nbytes + 4 * _BLOCK * n * 8
 
 
-def test_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(permlim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_import_loads_no_scipy(source_env):
     out = subprocess.run(
         [sys.executable, "-c", "import sys, permlim; print(sorted(m for m in "
          "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=source_env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 
 
-def test_balance_study_loads_no_numpy_random(tmp_path):
+def test_balance_study_loads_no_numpy_random(tmp_path, source_env):
     # the invertibility check's start vector is a fixed hash, so a
     # balance-study process never pays for importing numpy.random
     cfg = tmp_path / "study.ini"
     cfg.write_text("[cost]\nfamily = quadratic\n\n[study]\nn_list = 8 200\n\n"
                    f"[output]\ncsv_path = {tmp_path / 'bal.csv'}\n")
-    src = os.path.dirname(os.path.dirname(permlim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", "import sys; from permlim.cli import main; "
          f"code = main(['balance-study', '--config', {str(cfg)!r}]); "
          "print(code, 'numpy.random' in sys.modules, file=sys.stderr)"],
-        env=env, capture_output=True, text=True, check=True).stderr
+        env=source_env, capture_output=True, text=True, check=True).stderr
     assert out.strip() == "0 False"
 
 

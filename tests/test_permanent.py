@@ -331,7 +331,7 @@ def test_foreign_cached_library_is_replaced(kernel_cache, cosine_half):
                    check=True)
 
 
-def test_import_and_config_build_nothing(tmp_path):
+def test_import_and_config_build_nothing(tmp_path, source_env):
     """Start-up stays free of the compile: it happens on the first permanent."""
     marker = tmp_path / "compiler-ran"
     bin_dir = tmp_path / "bin"
@@ -341,11 +341,8 @@ def test_import_and_config_build_nothing(tmp_path):
     cc.chmod(0o755)
     config = tmp_path / "c.ini"
     config.write_text("[cost]\nfamily = quadratic\n[study]\nn_list = 4 8\n")
-    src = os.path.dirname(os.path.dirname(permanent_module.__file__))
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
-               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(source_env, XDG_CACHE_HOME=str(tmp_path / "xdg"),
+               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, permlim; "
          "permlim.load_config(sys.argv[1]); "
