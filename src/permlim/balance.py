@@ -8,11 +8,17 @@ and weights 1/n, and the same scaling routine solves it, one product with
 K per iteration.
 
 The perturbative theory writes u = 1 + h and needs I + R, R = K / n,
-invertible; under the spectral gap it is symmetric positive definite. A
-conjugate-gradient run (Hestenes and Stiefel, 1952) of at most 12 steps on
-a fixed generic vector, a hash of 1..n, checks that up front, and the
-iteration stops if h leaves the ball norm_2n(h) <= 0.5 where the theory
-holds.
+invertible; under the spectral gap it is symmetric positive definite. The
+numbers balancing checks anyway often prove that: every entry of K is at
+least its minimum k, so K - k 11' is nonnegative and its eigenvalues are at
+least -(max_i (K 1)_i - n k), and k 11' is positive semidefinite, hence
+
+    lambda_min(I + R) >= L = 1 - max_i (K 1)_i / n + k.
+
+Only when L is not safely positive does a conjugate-gradient run (Hestenes
+and Stiefel, 1952) of at most 12 steps on a fixed generic vector, a hash
+of 1..n, probe I + R for a nonpositive direction. The iteration stops if
+h leaves the ball norm_2n(h) <= 0.5 where the theory holds.
 
 A :class:`permlim.bridge.KernelMatrix`, what sampling returns, is
 symmetric by its storage, one triangle packed block row by block row, and
@@ -39,10 +45,14 @@ from .grid import norm_2n, norm_inf
 
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
 _SYM_TOL = 1e-12
-_CHECK_RTOL = 1e-15  # the singularity check stops at this relative residual
-# cap of the singularity check; measured kernels stop in 5-10 steps
-# (quadratic bridge at beta 0.5, 2 and 16, n 8 to 3200; beta 16 takes 10)
+_EPS = float(np.finfo(float).eps)
+_CHECK_RTOL = 1e-15  # the singularity probe stops at this relative residual
+# cap of the singularity probe; measured kernels stop in 5-10 steps
+# (quadratic bridge at beta 0.5, 2 and 16, n 8 to 3200; beta 16 takes 10).
+# It runs only where the bound L falls short, on the quadratic bridge (m =
+# 400) from beta 4 at n = 8, beta 8 at n = 200 and beta 16 at n = 3200.
 _CHECK_STEPS = 12
+_CHECK_FLOOR = 1e-14  # the probe raises on p'(I + R)p <= _CHECK_FLOOR p'p
 
 
 @dataclass(frozen=True)
@@ -108,19 +118,24 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
     u = exp(-a). It stops once max_i |u_i (K u)_i / n - 1| <= tol, after at
     most max_iter products with K.
 
-    First, a conjugate-gradient run on I + R checks the invertibility
-    assumption. It is one-sided: SingularSystemError means a direction p
-    had p'(I + R)p <= 1e-14 p'p, so I + R is singular or indefinite, but a
-    kernel that passes is not proven positive definite. BalanceError is
-    raised if an iterate leaves norm_2n(h) <= 0.5, outside which the
-    perturbative argument fails and log(1 + h_i) may be undefined.
+    First, the invertibility assumption is checked. When the bound
+    L = 1 - max_i (K 1)_i / n + min K, from the row sums and minimum that
+    the input checks already hold, is at least the margin of
+    :func:`_certificate_margin`, I + R is proven positive definite and
+    nothing more runs. Otherwise a conjugate-gradient probe on I + R
+    raises SingularSystemError on a direction p with p'(I + R)p <= 1e-14
+    p'p, so I + R is singular or indefinite; a kernel that passes the
+    probe is not proven positive definite. BalanceError is raised if an
+    iterate leaves norm_2n(h) <= 0.5, outside which the perturbative
+    argument fails and log(1 + h_i) may be undefined.
     """
-    kernel, n = _prepare(K)
+    kernel, n, bound, margin = _prepare(K)
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    _check_invertible(kernel)
+    if not bound >= margin:
+        _check_invertible(kernel)
 
     def ball(a, trace):
         with np.errstate(over="ignore"):  # an infinite h leaves the ball
@@ -143,7 +158,9 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
 
 
 def _prepare(K):
-    """The kernel to multiply by and its n, once it can be balanced.
+    """The kernel to multiply by, its n, and the bound L <= lambda_min(I + R)
+    with the margin it must reach to prove I + R positive definite, once
+    the kernel can be balanced.
 
     A KernelMatrix is symmetric by its storage and is checked by the range
     of its stored entries and its row sums K @ 1. Any other input is taken
@@ -173,7 +190,8 @@ def _prepare(K):
     if not sampled:
         if not finite_rows and not np.isfinite(kernel).all():
             raise ValueError("kernel contains non-finite entries")
-        if kernel.min() < 0.0:
+        lo = float(kernel.min())
+        if lo < 0.0:
             raise ValueError("kernel entries must be nonnegative")
         if max_asymmetry(kernel) > _SYM_TOL:
             raise ValueError("kernel must be symmetric")
@@ -182,13 +200,34 @@ def _prepare(K):
                          "rescale the kernel")
     if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
-    return kernel, n
+    row_max = float(rows.max())
+    return kernel, n, 1.0 - row_max / n + lo, _certificate_margin(n, row_max)
+
+
+def _certificate_margin(n: int, row_max: float) -> float:
+    """How far above 0 the computed L must lie to prove that the probe of
+    :func:`_check_invertible` would pass.
+
+    Let scale = 1 + max_i (K 1)_i / n; it bounds 1 + min K, the terms of
+    L, and |p|'(I + K / n)|p| / p'p. Sums of n nonnegative terms round
+    within n eps of exact (Higham, 2002, ch. 3), so the computed L is
+    within (n + 2) eps scale of exact, and the probe's p'(I + R)p within
+    (2n + 3) eps scale p'p. An array may be asymmetric by up to _SYM_TOL
+    per entry; p'(I + R)p sees only its symmetric part, whose row sums
+    exceed K's by at most n _SYM_TOL / 2, which moves L by _SYM_TOL / 2.
+    The margin is twice the roundings, 8 (n + 2) eps scale, plus 100 times
+    the asymmetry allowance and the probe's floor, times scale: 1.0e-10 at
+    n = 8 and 1.07e-10 at n = 3200 when scale is 1. L >= margin then
+    leaves p'(I + R)p > _CHECK_FLOOR p'p for every p the probe could try.
+    """
+    scale = 1.0 + row_max / n
+    return (8.0 * (n + 2) * _EPS + 100.0 * (_SYM_TOL + _CHECK_FLOOR)) * scale
 
 
 def _check_invertible(K):
     """Run conjugate gradients on I + R from a fixed generic vector, for at
     most _CHECK_STEPS steps, and raise SingularSystemError on a direction p
-    with p'(I + R)p <= 1e-14 p'p."""
+    with p'(I + R)p <= _CHECK_FLOOR p'p."""
     n = K.shape[0]
     r = _generic_vector(n)
     p = r.copy()
@@ -199,7 +238,7 @@ def _check_invertible(K):
             break
         Ap = p + K @ p / n
         pAp = float(p @ Ap)
-        if pAp <= 1e-14 * float(p @ p):
+        if pAp <= _CHECK_FLOOR * float(p @ p):
             raise SingularSystemError(
                 f"I + R is numerically singular at n={n}; "
                 "the invertibility assumption fails on this kernel")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import configparser
 import math
 import os
-import statistics
 import time
 from dataclasses import dataclass, fields
 
@@ -290,6 +289,7 @@ def fit_rate(n_list, errors):
     pairs = list(zip(n_list, errors))
     if all(e <= _EXACT_FLOOR for _, e in pairs):
         return None, ()
+    import statistics  # here: about 4.5 ms that most processes never need
     med = statistics.median(n_list)
     use = [(n, e) for n, e in pairs if n >= med and e > 0.0]
     if len(use) < 2:

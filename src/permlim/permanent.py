@@ -38,7 +38,6 @@ import math
 import os
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +216,8 @@ def _normalised_permanent(M, workers) -> float:
     if workers == 1 or len(spans) <= 1:
         totals = [chunk(rows, n, *span) for span in spans]
     else:
+        # imported here: about 7 ms that a single-worker process never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             totals = list(pool.map(lambda s: chunk(rows, n, *s), spans))
     total = _LD(0.0)
@@ -281,9 +282,9 @@ def _build_library(rebuild: bool = False) -> str:
     failure is an OSError.
     """
     # Imported here: at module level they would add about 12 ms to every
-    # `import permlim`, including the many runs that build no permanent.
+    # `import permlim`, including the many runs that build no permanent;
+    # subprocess, about 8 ms more, only on a cache miss.
     import hashlib
-    import subprocess
     import sysconfig
 
     base = os.environ.get("XDG_CACHE_HOME", "")
@@ -299,6 +300,7 @@ def _build_library(rebuild: bool = False) -> str:
     path = os.path.join(cache, f"glynn-{key[:16]}.so")
     if os.path.exists(path) and not rebuild:
         return path
+    import subprocess
     fd, tmp = tempfile.mkstemp(dir=cache, prefix="glynn-", suffix=".tmp")
     os.close(fd)
     try:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import DensitySource, gauss_legendre, max_asymmetry
+from .bridge import _BLOCK, DensitySource, gauss_legendre, max_asymmetry
 from .errors import RefinementWarning, SpectralGapError, SpectralGapWarning
 
 _ASYM_TOL = 1e-10
@@ -99,8 +99,8 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
     Its eigenvalues approximate those of the centered integral operator
     f -> integral (rho(x, y) - 1) f(y) dy on mean-zero functions. The
     density source samples rho on the nodes z exactly symmetric, and so is
-    the matrix; the sample is freed once rho - 1 is formed, so at most two
-    m x m arrays are alive at once.
+    the matrix. It is formed in the sample's own buffer, so one m x m array
+    is alive at a time.
     """
     if m < MIN_RESOLUTION:
         raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
@@ -154,8 +154,14 @@ def _nystrom(source: DensitySource, m: int) -> np.ndarray:
     check level m // 2 of :func:`fredholm_limit` can go below it."""
     z, w = gauss_legendre(m)
     s = np.sqrt(w)
-    S = np.subtract(source(z), 1.0)
-    S *= np.outer(s, s)
+    # The sample is held nowhere else, so its read-only entries may become
+    # S in place. Each row block is scaled by the same products s_i s_j as
+    # one np.outer(s, s) would give, and so keeps its bits.
+    S = source(z).entries
+    S.setflags(write=True)
+    S -= 1.0
+    for i in range(0, m, _BLOCK):
+        S[i:i + _BLOCK] *= np.outer(s[i:i + _BLOCK], s)
     return S
 
 

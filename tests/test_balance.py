@@ -1,3 +1,4 @@
+import functools
 import math
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import permlim
+import permlim.balance as balance_module
 from permlim import (BalanceError, BalanceResult, KernelMatrix,
                      SingularSystemError, balance_fixed_point, bridge_source,
                      compute_Dn, cosine_source, norm_2n, quadratic_cost,
@@ -156,6 +158,71 @@ def test_positive_definite_block_kernel_balances():
                 np.ones((30, 30)))
     res = balance_fixed_point(K)
     assert np.abs(res.balanced.sum(axis=1) / len(K) - 1.0).max() <= 1e-11
+
+
+@functools.lru_cache(maxsize=None)
+def _bridge(beta):
+    return bridge_source(solve_potential(quadratic_cost(beta), m=400))
+
+
+def _bound(K):
+    """The bound L <= lambda_min(I + K/n) that balancing computes, and the
+    margin it must reach to skip the conjugate-gradient probe."""
+    _, _, bound, margin = balance_module._prepare(K)
+    return bound, margin
+
+
+def _lambda_min(K):
+    K = np.asarray(K)
+    return float(np.linalg.eigvalsh(np.eye(len(K)) + K / len(K))[0])
+
+
+# L measured 0.79, 0.59, 0.27 and -0.42 at n = 8; lambda_min is 1.000-1.001
+@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 16.0])
+def test_certificate_bound_below_lambda_min_on_bridge(beta, n):
+    K = sample_kernel(_bridge(beta), n)
+    assert _bound(K)[0] <= _lambda_min(K)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(1e-3, 10.0))))
+def test_certificate_bound_below_lambda_min_on_positive_arrays(A):
+    K = np.triu(A) + np.triu(A, 1).T
+    bound, _ = _bound(K)
+    scale = 1.0 + K.sum(axis=1).max() / len(K)  # eigvalsh rounds relative to it
+    assert bound <= _lambda_min(K) + 1e-13 * scale
+
+
+@pytest.mark.parametrize("K,bound", [
+    (np.array([[0.0, 2.0], [2.0, 0.0]]), 0.0),
+    (np.array([[2.0, 4.0], [4.0, 2.0]]), 0.0),
+    (np.kron([[1.0, 3.0], [3.0, 1.0]], np.ones((2, 2))), 0.0),
+    (np.kron([[1.0, 3.0], [3.0, 1.0]], np.ones((50, 50))), 0.0),
+    (np.kron([[1.0, 3.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 2.0]],
+             np.ones((30, 30))), 1.0 / 3.0),
+], ids=["anti-diagonal", "2x2", "kron-m2", "kron-m50", "block"])
+def test_certificate_bound_is_tight(K, bound):
+    # the singular kernels above and the block kernel, whose lambda_min is
+    # 1/3: the bound equals lambda_min on each
+    assert _bound(K)[0] == pytest.approx(bound, rel=0, abs=1e-15)
+    assert _lambda_min(K) == pytest.approx(bound, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("beta,n,probed", [(1.0, 200, False), (16.0, 8, True)])
+def test_probe_runs_only_where_the_bound_falls_short(monkeypatch, beta, n,
+                                                     probed):
+    calls = []
+    probe = balance_module._check_invertible
+    monkeypatch.setattr(balance_module, "_check_invertible",
+                        lambda K: calls.append(K) or probe(K))
+    K = sample_kernel(_bridge(beta), n)
+    bound, margin = _bound(K)
+    res = balance_fixed_point(K)  # the probe, when it runs, passes
+    assert (bound < margin) == probed
+    assert len(calls) == int(probed)
+    assert res.residual <= 1e-12
 
 
 # eps <= 0.25 keeps norm_2n(h) below 0.22 for every sign pattern tried;

@@ -354,6 +354,20 @@ def test_import_and_config_build_nothing(tmp_path, source_env):
     assert not (tmp_path / "xdg").exists()
 
 
+def test_import_and_config_load_no_deferred_modules(tmp_path, source_env):
+    # each is imported where it is used: by a parallel permanent, by
+    # fit_rate, and by a compile on a cache miss
+    config = tmp_path / "c.ini"
+    config.write_text("[cost]\nfamily = quadratic\n[study]\nn_list = 4 8\n")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, permlim; "
+         "permlim.load_config(sys.argv[1]); print(sorted(m for m in "
+         "('concurrent.futures', 'statistics', 'subprocess') "
+         "if m in sys.modules))", str(config)],
+        env=source_env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_converge_derived_columns_match_exact_permanents(tmp_path, quad_cost):
     n = 12
     cfg = RunConfig(cost=quad_cost, n_list=(n,), nystrom_m=64,

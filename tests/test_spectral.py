@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from permlim import (DensitySource, RefinementWarning, SpectralGapError,
                      cosine_source, expression_cost, fredholm_limit, gamma0,
                      mccullagh_estimate, quadratic_cost, sample_kernel,
                      solve_potential, tabulated_source)
+from permlim.bridge import _BLOCK
 
 
 def _continuum_reference(beta, m=64):
@@ -303,3 +305,17 @@ def test_fredholm_and_mccullagh_share_the_gap_margin():
     v = math.sqrt(2.0 / n) * np.cos(math.pi * (np.arange(1, n + 1) - 0.5) / n)
     with pytest.raises(SpectralGapError):
         mccullagh_estimate(np.full((n, n), 1.0 / n) + eps * np.outer(v, v))
+
+
+def test_nystrom_holds_one_matrix(cosine_half):
+    # formed in the sample's own buffer and scaled by row blocks: the peak
+    # is 9.15 MiB at m = 1024, the 8 MiB matrix and a 1 MiB block of
+    # products, against 16.15 MiB with a copy and a full np.outer(s, s)
+    m = 1024
+    tracemalloc.start()
+    try:
+        centered_nystrom(cosine_half, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m * m * 8 + 1.5 * _BLOCK * m * 8
