@@ -9,9 +9,10 @@ K per iteration.
 
 The perturbative theory writes u = 1 + h and needs I + R, R = K / n,
 invertible; under the spectral gap it is symmetric positive definite. The
-numbers balancing checks anyway often prove that: every entry of K is at
-least its minimum k, so K - k 11' is nonnegative and its eigenvalues are at
-least -(max_i (K 1)_i - n k), and k 11' is positive semidefinite, hence
+row sums and minimum that balancing checks anyway often prove that: every
+entry of K is at least its minimum k, so K - k 11' is nonnegative and its
+eigenvalues are at least -(max_i (K 1)_i - n k), and k 11' is positive
+semidefinite, hence
 
     lambda_min(I + R) >= L = 1 - max_i (K 1)_i / n + k.
 

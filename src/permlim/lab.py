@@ -289,7 +289,7 @@ def fit_rate(n_list, errors):
     pairs = list(zip(n_list, errors))
     if all(e <= _EXACT_FLOOR for _, e in pairs):
         return None, ()
-    import statistics  # here: about 4.5 ms that most processes never need
+    import statistics  # here: about 5 ms that most processes never need
     med = statistics.median(n_list)
     use = [(n, e) for n, e in pairs if n >= med and e > 0.0]
     if len(use) < 2:

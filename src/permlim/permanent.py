@@ -216,7 +216,7 @@ def _normalised_permanent(M, workers) -> float:
     if workers == 1 or len(spans) <= 1:
         totals = [chunk(rows, n, *span) for span in spans]
     else:
-        # imported here: about 7 ms that a single-worker process never needs
+        # imported here: about 10 ms that a single-worker process never needs
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             totals = list(pool.map(lambda s: chunk(rows, n, *s), spans))
@@ -283,7 +283,7 @@ def _build_library(rebuild: bool = False) -> str:
     """
     # Imported here: at module level they would add about 12 ms to every
     # `import permlim`, including the many runs that build no permanent;
-    # subprocess, about 8 ms more, only on a cache miss.
+    # subprocess, about 7 ms more, only on a cache miss.
     import hashlib
     import sysconfig
 
