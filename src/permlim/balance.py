@@ -21,16 +21,15 @@ and Stiefel, 1952) of at most 12 steps on a fixed generic vector, a hash
 of 1..n, probe I + R for a nonpositive direction. The iteration stops if
 h leaves the ball norm_2n(h) <= 0.5 where the theory holds.
 
-A :class:`permlim.bridge.KernelMatrix`, what sampling returns, is
-symmetric by its storage, one triangle packed block row by block row, and
-records the range of its stored entries as it is filled. Balancing checks
-that range, finite and nonnegative, and the row sums K @ 1, for overflow
-and zero rows, and multiplies by K over its packed block rows, so it never
-expands them into the full matrix; reading ``balanced`` does. An array is
-checked entry by entry first: finite, nonnegative, and symmetric within
-1e-12 over tiles of the upper triangle. R is never formed, and the balanced
-matrix and the size measures of h are formed only when read: beyond the
-kernel, balancing allocates vectors and small tiles, not n x n arrays.
+Balancing takes a :class:`permlim.bridge.KernelMatrix`, what sampling
+returns: exactly symmetric by its storage, one triangle packed block row
+by block row, with the range of its stored entries recorded as it was
+filled. It checks that range, finite and nonnegative, and the row sums
+K @ 1, for overflow and zero rows, and multiplies by K over its packed
+block rows, so it never expands them into the full matrix; reading
+``balanced`` does. R is never formed, and the balanced matrix and the size
+measures of h are formed only when read: beyond the kernel, balancing
+allocates vectors, not n x n arrays.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import KernelMatrix, _scale, max_asymmetry
+from .bridge import KernelMatrix, _scale
 from .errors import BalanceError, SingularSystemError
 from .grid import norm_2n, norm_inf
 
 _BALL_RADIUS = 0.5  # abort when norm_2n(h) leaves this ball; keeps log(1+h) defined
-_SYM_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _CHECK_RTOL = 1e-15  # the singularity probe stops at this relative residual
 # cap of the singularity probe; measured kernels stop in 5-10 steps
@@ -60,12 +58,11 @@ _CHECK_FLOOR = 1e-14  # the probe raises on p'(I + R)p <= _CHECK_FLOOR p'p
 class BalanceResult:
     """Perturbation h, scaling u = 1 + h, and the kernel they rescale.
 
-    ``kernel`` is what the solver balanced, held without a copy: the
-    KernelMatrix, symmetric by its storage, or the read-only array that
-    passed the entry checks. ``balanced[i, j] = u_i * kernel[i, j] *
-    u_j`` is computed on demand, as a new array on every access, so the
-    result itself holds no second n x n array; dividing it by n gives the
-    doubly stochastic matrix whose permanent the limit theory studies.
+    ``kernel`` is the KernelMatrix the solver balanced, held without a
+    copy. ``balanced[i, j] = u_i * kernel[i, j] * u_j`` is computed on
+    demand, as a new array on every access, so the result itself holds no
+    second n x n array; dividing it by n gives the doubly stochastic matrix
+    whose permanent the limit theory studies.
     ``iterations`` counts the products with the kernel, and ``residual`` is
     the sup-norm row-sum defect max_i |u_i (K u)_i / n - 1| at which the
     iteration stopped.
@@ -79,7 +76,7 @@ class BalanceResult:
     n: int
     h: np.ndarray
     u: np.ndarray
-    kernel: np.ndarray | KernelMatrix = field(repr=False)
+    kernel: KernelMatrix = field(repr=False)
     iterations: int
     residual: float
 
@@ -111,13 +108,17 @@ class BalanceResult:
         return float(np.prod(np.square(self.u, dtype=np.longdouble)))
 
 
-def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceResult:
-    """Balance K with the scaling routine of the potential solve.
+def balance_fixed_point(K: KernelMatrix, tol: float = 1e-12,
+                        max_iter: int = 200) -> BalanceResult:
+    """Balance the sampled kernel K with the scaling routine of the
+    potential solve.
 
     Iterates on exp(a) = K (exp(-a) / n) from a = 0 as
     :func:`permlim.bridge.solve_potential` does, at damping 1, and returns
     u = exp(-a). It stops once max_i |u_i (K u)_i / n - 1| <= tol, after at
-    most max_iter products with K.
+    most max_iter products with K. K must be a KernelMatrix, as
+    :func:`permlim.grid.sample_kernel` returns; anything else raises
+    TypeError.
 
     First, the invertibility assumption is checked. When the bound
     L = 1 - max_i (K 1)_i / n + min K, from the row sums and minimum that
@@ -130,13 +131,13 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
     iterate leaves norm_2n(h) <= 0.5, outside which the perturbative
     argument fails and log(1 + h_i) may be undefined.
     """
-    kernel, n, bound, margin = _prepare(K)
+    n, bound, margin = _prepare(K)
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not bound >= margin:
-        _check_invertible(kernel)
+        _check_invertible(K)
 
     def ball(a, trace):
         with np.errstate(over="ignore"):  # an infinite h leaves the ball
@@ -148,61 +149,41 @@ def balance_fixed_point(K, tol: float = 1e-12, max_iter: int = 200) -> BalanceRe
                 "far from doubly stochastic for the perturbative solver",
                 residual=trace[-1], iterations=len(trace))
 
-    a, trace = _scale(kernel, np.full(n, 1.0 / n), tol, max_iter, 1.0, ball)
+    a, trace = _scale(K, np.full(n, 1.0 / n), tol, max_iter, 1.0, ball)
     if trace[-1] > tol:
         raise BalanceError(
             f"fixed point did not reach tol={tol:g} in {max_iter} iterations "
             f"(last residual {trace[-1]:.3e})",
             residual=trace[-1], iterations=max_iter)
     u = np.exp(-a)
-    return BalanceResult(n, u - 1.0, u, kernel, len(trace), trace[-1])
+    return BalanceResult(n, u - 1.0, u, K, len(trace), trace[-1])
 
 
-def _prepare(K):
-    """The kernel to multiply by, its n, and the bound L <= lambda_min(I + R)
-    with the margin it must reach to prove I + R positive definite, once
-    the kernel can be balanced.
+def _prepare(K: KernelMatrix):
+    """K's n, and the bound L <= lambda_min(I + R) with the margin it must
+    reach to prove I + R positive definite, once K can be balanced.
 
-    A KernelMatrix is symmetric by its storage and is checked by the range
-    of its stored entries and its row sums K @ 1. Any other input is taken
-    as a read-only array and checked entry by entry.
+    K is checked by the range of its stored entries, finite and
+    nonnegative, and by its row sums K @ 1, finite and positive.
     """
-    sampled = isinstance(K, KernelMatrix)
-    if sampled:
-        kernel = K
-        lo, hi = K.value_range
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("kernel contains non-finite entries")
-        if lo < 0.0:
-            raise ValueError("kernel entries must be nonnegative")
-    else:
-        kernel = np.asarray(K, dtype=float)
-        if kernel.flags.writeable:  # the result reads it again for balanced
-            kernel = kernel.copy()
-            kernel.setflags(write=False)
-        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-            raise ValueError("balance expects a square kernel matrix")
-    n = kernel.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
-        rows = kernel @ np.ones(n)
-    # A finite row sum means a finite row, so an array is scanned entry by
-    # entry only when a row sum is not finite.
-    finite_rows = bool(np.isfinite(rows).all())
-    if not sampled:
-        if not finite_rows and not np.isfinite(kernel).all():
-            raise ValueError("kernel contains non-finite entries")
-        lo = float(kernel.min())
-        if lo < 0.0:
-            raise ValueError("kernel entries must be nonnegative")
-        if max_asymmetry(kernel) > _SYM_TOL:
-            raise ValueError("kernel must be symmetric")
-    if not finite_rows:
+    if not isinstance(K, KernelMatrix):
+        raise TypeError("balance_fixed_point takes a sampled KernelMatrix; "
+                        "sample the density with sample_kernel")
+    lo, hi = K.value_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("kernel contains non-finite entries")
+    if lo < 0.0:
+        raise ValueError("kernel entries must be nonnegative")
+    n = K.shape[0]
+    with np.errstate(over="ignore"):  # judged just below
+        rows = K @ np.ones(n)
+    if not np.isfinite(rows).all():
         raise ValueError("kernel row sums overflow double precision; "
                          "rescale the kernel")
     if rows.min() <= 0.0:
         raise BalanceError("kernel has a zero row; balancing is impossible")
     row_max = float(rows.max())
-    return kernel, n, 1.0 - row_max / n + lo, _certificate_margin(n, row_max)
+    return n, 1.0 - row_max / n + lo, _certificate_margin(n, row_max)
 
 
 def _certificate_margin(n: int, row_max: float) -> float:
@@ -213,16 +194,15 @@ def _certificate_margin(n: int, row_max: float) -> float:
     L, and |p|'(I + K / n)|p| / p'p. Sums of n nonnegative terms round
     within n eps of exact (Higham, 2002, ch. 3), so the computed L is
     within (n + 2) eps scale of exact, and the probe's p'(I + R)p within
-    (2n + 3) eps scale p'p. An array may be asymmetric by up to _SYM_TOL
-    per entry; p'(I + R)p sees only its symmetric part, whose row sums
-    exceed K's by at most n _SYM_TOL / 2, which moves L by _SYM_TOL / 2.
-    The margin is twice the roundings, 8 (n + 2) eps scale, plus 100 times
-    the asymmetry allowance and the probe's floor, times scale: 1.0e-10 at
-    n = 8 and 1.07e-10 at n = 3200 when scale is 1. L >= margin then
-    leaves p'(I + R)p > _CHECK_FLOOR p'p for every p the probe could try.
+    (2n + 3) eps scale p'p; K is exactly symmetric, so p'(I + R)p is the
+    form whose minimum L bounds. The margin is twice the roundings,
+    8 (n + 2) eps scale, plus 100 times the probe's floor, times scale:
+    1.0e-12 at n = 8 and 6.7e-12 at n = 3200 when scale is 1. L >= margin
+    then leaves p'(I + R)p > _CHECK_FLOOR p'p for every p the probe could
+    try.
     """
     scale = 1.0 + row_max / n
-    return (8.0 * (n + 2) * _EPS + 100.0 * (_SYM_TOL + _CHECK_FLOOR)) * scale
+    return (8.0 * (n + 2) * _EPS + 100.0 * _CHECK_FLOOR) * scale
 
 
 def _check_invertible(K):

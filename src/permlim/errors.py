@@ -49,7 +49,9 @@ class SingularSystemError(PermlimError):
     """I + R of the balancing fixed point is singular or indefinite.
 
     Raised when a conjugate-gradient direction p on I + R has
-    p'(I + R)p <= 1e-14 p'p in the check that runs before balancing.
+    p'(I + R)p <= 1e-14 p'p in the probe that runs before balancing, and
+    only where the bound from the kernel's row sums and minimum falls short
+    of proving I + R positive definite.
     """
 
     exit_code = 4

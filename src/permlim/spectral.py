@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import _BLOCK, DensitySource, gauss_legendre, max_asymmetry
+from .bridge import (_BLOCK, DensitySource, _check_allocatable, gauss_legendre,
+                     max_asymmetry)
 from .errors import RefinementWarning, SpectralGapError, SpectralGapWarning
 
 _ASYM_TOL = 1e-10
@@ -100,7 +101,8 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
     f -> integral (rho(x, y) - 1) f(y) dy on mean-zero functions. The
     density source samples rho on the nodes z exactly symmetric, and so is
     the matrix. It is formed in the sample's own buffer, so one m x m array
-    is alive at a time.
+    is alive at a time; an m whose matrix cannot be allocated raises
+    MemoryError before the O(m^2) quadrature runs.
     """
     if m < MIN_RESOLUTION:
         raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
@@ -152,6 +154,7 @@ def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
 def _nystrom(source: DensitySource, m: int) -> np.ndarray:
     """:func:`centered_nystrom` without its resolution minimum, so the
     check level m // 2 of :func:`fredholm_limit` can go below it."""
+    _check_allocatable(m)
     z, w = gauss_legendre(m)
     s = np.sqrt(w)
     # The sample is held nowhere else, so its read-only entries may become

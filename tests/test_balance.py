@@ -18,11 +18,20 @@ from permlim import (BalanceError, BalanceResult, KernelMatrix,
                      SingularSystemError, balance_fixed_point, bridge_source,
                      compute_Dn, cosine_source, norm_2n, quadratic_cost,
                      sample_kernel, solve_potential)
-from permlim.bridge import _BLOCK
+from permlim.bridge import _BLOCK, max_asymmetry
 from test_grid import _NON_FINITE, _planted
 
 COS2_U = np.array([math.sqrt(4.0 - 2.0 * math.sqrt(2.0)),
                    math.sqrt(2.0 - math.sqrt(2.0))])
+
+
+def _kernel(M) -> KernelMatrix:
+    """The symmetric array M, n <= _BLOCK, as the KernelMatrix that
+    balancing takes: a source whose one block row is M, sampled on the
+    grid of its size."""
+    M = np.asarray(M, dtype=float)
+    assert len(M) <= _BLOCK
+    return permlim.DensitySource(lambda x, y: M)(permlim.grid_nodes(len(M)))
 
 
 def _identity_residual(K, u) -> float:
@@ -109,7 +118,7 @@ def test_diagnostics_zero_perturbation(const_source):
 def test_diagnostics_two_point_example():
     h = np.array([0.1, -0.1])
     u = 1.0 + h
-    res = BalanceResult(2, h, u, np.outer(u, u), 1, 0.0)
+    res = BalanceResult(2, h, u, _kernel(np.outer(u, u)), 1, 0.0)
     assert res.m_n == 0.0
     assert res.sum_log == pytest.approx(math.log(1.1) + math.log(0.9), abs=1e-15)
     assert res.prod_u_sq == pytest.approx(0.9801, abs=1e-15)
@@ -132,13 +141,13 @@ def test_cosine_mean_defect_rate(cosine_half):
 
 def test_ball_abort_far_from_doubly_stochastic():
     with pytest.raises(BalanceError, match="ball"):
-        balance_fixed_point(10.0 * np.ones((4, 4)))
+        balance_fixed_point(_kernel(10.0 * np.ones((4, 4))))
 
 
 def test_singular_system_detected():
     K = np.array([[0.0, 2.0], [2.0, 0.0]])  # I + K/2 has eigenvalue 0
     with pytest.raises(SingularSystemError):
-        balance_fixed_point(K)
+        balance_fixed_point(_kernel(K))
 
 
 @pytest.mark.parametrize("K", [
@@ -149,14 +158,14 @@ def test_singular_system_detected():
 def test_singular_system_on_positive_kernels(K):
     # I + K/n has eigenvalue 0 although every entry of K is positive
     with pytest.raises(SingularSystemError, match="numerically singular"):
-        balance_fixed_point(K)
+        balance_fixed_point(_kernel(K))
 
 
 def test_positive_definite_block_kernel_balances():
     # lambda_min(I + K/n) = 1/3: small, but the fixed point is well posed
     K = np.kron([[1.0, 3.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 2.0]],
                 np.ones((30, 30)))
-    res = balance_fixed_point(K)
+    res = balance_fixed_point(_kernel(K))
     assert np.abs(res.balanced.sum(axis=1) / len(K) - 1.0).max() <= 1e-11
 
 
@@ -168,7 +177,7 @@ def _bridge(beta):
 def _bound(K):
     """The bound L <= lambda_min(I + K/n) that balancing computes, and the
     margin it must reach to skip the conjugate-gradient probe."""
-    _, _, bound, margin = balance_module._prepare(K)
+    _, bound, margin = balance_module._prepare(K)
     return bound, margin
 
 
@@ -190,7 +199,7 @@ def test_certificate_bound_below_lambda_min_on_bridge(beta, n):
     lambda n: arrays(np.float64, (n, n), elements=st.floats(1e-3, 10.0))))
 def test_certificate_bound_below_lambda_min_on_positive_arrays(A):
     K = np.triu(A) + np.triu(A, 1).T
-    bound, _ = _bound(K)
+    bound, _ = _bound(_kernel(K))
     scale = 1.0 + K.sum(axis=1).max() / len(K)  # eigvalsh rounds relative to it
     assert bound <= _lambda_min(K) + 1e-13 * scale
 
@@ -206,7 +215,7 @@ def test_certificate_bound_below_lambda_min_on_positive_arrays(A):
 def test_certificate_bound_is_tight(K, bound):
     # the singular kernels above and the block kernel, whose lambda_min is
     # 1/3: the bound equals lambda_min on each
-    assert _bound(K)[0] == pytest.approx(bound, rel=0, abs=1e-15)
+    assert _bound(_kernel(K))[0] == pytest.approx(bound, rel=0, abs=1e-15)
     assert _lambda_min(K) == pytest.approx(bound, rel=0, abs=1e-14)
 
 
@@ -234,7 +243,7 @@ def test_probe_runs_only_where_the_bound_falls_short(monkeypatch, beta, n,
 def test_fixed_point_properties_near_constant(A, eps):
     n = A.shape[0]
     K = 1.0 + eps * (np.triu(A) + np.triu(A, 1).T)
-    res = balance_fixed_point(K, tol=1e-12)
+    res = balance_fixed_point(_kernel(K), tol=1e-12)
     assert _identity_residual(K, res.u) <= 1e-11  # worst example 2.7e-12
     assert np.abs(res.balanced.sum(axis=1) / n - 1.0).max() <= 1e-11
     assert np.array_equal(res.balanced, res.balanced.T)
@@ -252,10 +261,10 @@ def test_balanced_matrix_identities(A_perm, eps):
     A, perm = A_perm
     perm = np.array(perm, dtype=int)
     K = 1.0 + eps * (np.triu(A) + np.triu(A, 1).T)
-    res = balance_fixed_point(K, tol=1e-12)
+    res = balance_fixed_point(_kernel(K), tol=1e-12)
     assert compute_Dn(res.balanced).value == pytest.approx(
         compute_Dn(K).value * float(np.prod(res.u * res.u)), rel=1e-13, abs=0)
-    moved = balance_fixed_point(K[np.ix_(perm, perm)], tol=1e-12)
+    moved = balance_fixed_point(_kernel(K[np.ix_(perm, perm)]), tol=1e-12)
     assert np.abs(moved.u - res.u[perm]).max() <= 1e-13
     assert np.abs(moved.balanced - res.balanced[np.ix_(perm, perm)]).max() \
         <= 1e-13
@@ -301,31 +310,56 @@ def test_balance_study_loads_no_numpy_random(tmp_path, source_env):
 def test_zero_row_rejected():
     K = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(BalanceError, match="zero row"):
+        balance_fixed_point(_kernel(K))
+
+
+@pytest.mark.parametrize("K", [
+    np.ones((2, 2)), np.array([[1.0, 2.0], [1.0, 1.0]]), np.ones((3, 4)),
+    [[1.0, 1.0], [1.0, 1.0]]], ids=["symmetric", "asymmetric", "3x4", "list"])
+def test_only_a_kernel_matrix_is_balanced(K):
+    # a kernel is sampled from a density source; an array, symmetric or
+    # not, square or not, is turned away before any other check
+    with pytest.raises(TypeError, match="^balance_fixed_point takes a "
+                       "sampled KernelMatrix; sample the density with "
+                       "sample_kernel$"):
         balance_fixed_point(K)
 
 
 def test_asymmetric_and_negative_rejected():
-    with pytest.raises(ValueError, match="symmetric"):
+    # an asymmetric array is turned away by its type; a negative kernel by
+    # the range its fill recorded
+    with pytest.raises(TypeError, match="sampled KernelMatrix"):
         balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        balance_fixed_point(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    with pytest.raises(ValueError, match="kernel entries must be nonnegative"):
+        balance_fixed_point(_kernel([[1.0, -0.5], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("kind", ["KernelMatrix"])
+def test_asymmetric_kernel_rejected_unless_sampled(kind):
+    # a KernelMatrix is symmetric by its storage and is checked by the
+    # range its fill recorded; arrays are refused by
+    # test_only_a_kernel_matrix_is_balanced
+    # rho = 1 + 1.8 cos(pi x) cos(pi y) is negative near two corners
+    negative = cosine_source(0.9)(permlim.grid_nodes(300))
+    assert type(negative).__name__ == kind
+    assert negative.value_range[0] < 0.0
+    with pytest.raises(ValueError, match="kernel entries must be nonnegative"):
+        balance_fixed_point(negative)
 
 
 @pytest.mark.parametrize("pair", _NON_FINITE.values(), ids=_NON_FINITE)
 def test_non_finite_rejected(pair):
-    # an array by its entries, a KernelMatrix by its recorded range
-    source = permlim.DensitySource(lambda x, y: _planted(pair))
-    for K in (_planted(pair), source(permlim.grid_nodes(4))):
-        with pytest.raises(ValueError,
-                           match="^kernel contains non-finite entries$"):
-            balance_fixed_point(K)
+    # by the range the fill recorded
+    with pytest.raises(ValueError,
+                       match="^kernel contains non-finite entries$"):
+        balance_fixed_point(_kernel(_planted(pair)))
 
 
 def test_near_overflow_kernel_passes_the_finiteness_check():
     # finite entries whose row sums overflow reach the later checks
     with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                    match="nonnegative"):
-        balance_fixed_point(_planted((-1.0, 1e308), 1e308))
+        balance_fixed_point(_kernel(_planted((-1.0, 1e308), 1e308)))
 
 
 def test_overflowing_row_sums_rejected_before_iterating():
@@ -333,21 +367,16 @@ def test_overflowing_row_sums_rejected_before_iterating():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^kernel row sums overflow"):
-            balance_fixed_point(np.full((4, 4), 1e308))
+            balance_fixed_point(_kernel(np.full((4, 4), 1e308)))
 
 
 def test_sampled_kernel_balanced_from_its_stored_triangle(quad_source,
                                                          monkeypatch):
-    # a sampled kernel is symmetric by its storage: balancing runs no
-    # symmetry scan and multiplies by the stored block rows, never reading
-    # the full matrix, which would expand it
-    def no_scan(M):
-        raise AssertionError("max_asymmetry called")
-
+    # balancing multiplies by the stored block rows, never reading the full
+    # matrix, which would expand it
     def no_expansion(K):
         raise AssertionError("sampled kernel expanded")
 
-    monkeypatch.setattr(permlim.balance, "max_asymmetry", no_scan)
     monkeypatch.setattr(KernelMatrix, "entries", property(no_expansion))
     n = 300
     res = balance_fixed_point(sample_kernel(quad_source, n), tol=1e-12)
@@ -357,35 +386,17 @@ def test_sampled_kernel_balanced_from_its_stored_triangle(quad_source,
     assert np.array_equal(res.balanced, full * np.outer(res.u, res.u))
 
 
-@pytest.mark.parametrize("kind", ["array", "KernelMatrix"])
-def test_asymmetric_kernel_rejected_unless_sampled(kind):
-    # an array keeps every entry check; a KernelMatrix is symmetric by its
-    # storage and is checked by the range its fill recorded
-    if kind == "array":
-        K = np.ones((300, 300))
-        K[200, 3] += 1e-9  # below the diagonal blocks
-        with pytest.raises(ValueError, match="kernel must be symmetric"):
-            balance_fixed_point(K)
-        with pytest.raises(ValueError, match="kernel must be symmetric"):
-            balance_fixed_point(np.array([[1.0, 2.0], [1.0, 1.0]]))
-        return
-    # rho = 1 + 1.8 cos(pi x) cos(pi y) is negative near two corners
-    negative = cosine_source(0.9)(permlim.grid_nodes(300))
-    assert negative.value_range[0] < 0.0
-    with pytest.raises(ValueError, match="kernel entries must be nonnegative"):
-        balance_fixed_point(negative)
-
-
 @pytest.mark.parametrize("i,j", [(5, _BLOCK + 7), (299, 297)],
                          ids=["off-diagonal tile", "trailing partial tile"])
 def test_asymmetry_found_in_any_tile(i, j):
+    # max_asymmetry, which tabulated_source and mccullagh_estimate use,
+    # reads every tile of the upper triangle against its mirror
     K = np.ones((300, 300))
     K[i, j] += 2e-12
-    with pytest.raises(ValueError, match="symmetric"):
-        balance_fixed_point(K)
-    K[i, j], K[j, i] = 2e-12, 1e-12  # differ by exactly the tolerance
-    res = balance_fixed_point(K)
-    assert np.abs(res.balanced.sum(axis=1) / 300 - 1.0).max() <= 1e-11
+    assert max_asymmetry(K) == (1.0 + 2e-12) - 1.0
+    K[i, j], K[j, i] = 2e-12, 1e-12
+    assert max_asymmetry(K) == 2e-12 - 1e-12
+    assert max_asymmetry(K.T) == max_asymmetry(K)
 
 
 def test_nonconvergence_reports_iterations(cosine_half):
@@ -402,5 +413,3 @@ def test_argument_checks(cosine_half):
             balance_fixed_point(K, tol=tol)
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
         balance_fixed_point(K, max_iter=0)
-    with pytest.raises(ValueError, match="square"):
-        balance_fixed_point(np.ones((3, 4)))

@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from permlim import (ConvergenceError, CostFunction, OverflowGuardError,
-                     PotentialSolution, SmoothnessWarning, absolute_cost,
-                     bridge_source, constant_source, cosine_source,
-                     evaluate_potential, expression_cost, gamma0,
-                     gauss_legendre, grid_nodes, quadratic_cost,
-                     sample_kernel, solve_potential, tabulated_source)
+import permlim
+from permlim import (ConvergenceError, CostFunction, DensitySource,
+                     OverflowGuardError, PotentialSolution, SmoothnessWarning,
+                     absolute_cost, bridge_source, centered_nystrom,
+                     constant_source, cosine_source, evaluate_potential,
+                     expression_cost, gamma0, gauss_legendre, grid_nodes,
+                     quadratic_cost, sample_kernel, solve_potential,
+                     tabulated_source)
 from permlim.bridge import _scale, max_asymmetry
 
 ZERO_COST = quadratic_cost(0.0)
@@ -342,6 +344,35 @@ def test_evaluate_potential_keeps_shape(quad_solution):
     np.testing.assert_array_equal(values, flat.reshape(x.shape))
     with pytest.raises(ValueError):
         evaluate_potential(quad_solution, [0.5, -0.1])
+
+
+@pytest.mark.parametrize("x", [[math.nan], [0.5, math.nan, 1.0],
+                               [[math.nan, 0.0], [0.5, 1.0]]])
+def test_evaluate_potential_rejects_nan_arguments(quad_solution, x):
+    # nan is outside [0,1], and is rejected as such before the cost runs
+    with pytest.raises(ValueError,
+                       match=r"^potential arguments must lie in \[0,1\]$"):
+        evaluate_potential(quad_solution, x)
+
+
+def test_unallocatable_matrix_fails_before_the_work_that_precedes_it(
+        monkeypatch):
+    # an m x m matrix that cannot exist fails before the O(m^2) quadrature,
+    # which would run for hours at m = 10**7, and an n x n kernel before
+    # its potential is evaluated at the n nodes
+    calls = []
+    for module in (permlim.bridge, permlim.spectral):
+        monkeypatch.setattr(module, "gauss_legendre", calls.append)
+    for m in (10**7, 10**10):  # 8 m^2 bytes: beyond memory; beyond ssize_t
+        with pytest.raises(MemoryError, match=f"^Unable to allocate a {m} x"):
+            solve_potential(quadratic_cost(1.0), m=m)
+        with pytest.raises(MemoryError, match=f"^Unable to allocate a {m} x"):
+            centered_nystrom(constant_source(), m)
+    source = DensitySource(lambda x, y: np.ones((x.size, y.size)),
+                           potential=calls.append)
+    with pytest.raises(MemoryError):
+        source(np.broadcast_to(0.5, (10**7,)))
+    assert calls == []
 
 
 def test_bridge_source_zero_cost_all_ones():

@@ -837,6 +837,41 @@ csv_path = {csv}
     assert lines[2:] == ["# aborted at n=10000000"]
 
 
+@pytest.mark.parametrize("subcommand,keys", [
+    ("solve-bridge", "[bridge]\nm = 10000000"),
+    ("converge", "[study]\nn_list = 4\nnystrom_m = 10000000"),
+    ("balance-study", "[study]\nn_list = 8 10000000"),
+], ids=["bridge m", "nystrom_m", "n_list"])
+def test_cli_unallocatable_size_fails_fast(tmp_path, capsys, monkeypatch,
+                                           subcommand, keys):
+    # the m x m or n x n matrix is found not to fit before the O(m^2)
+    # quadrature or the potential at n points, each of which takes longer
+    # as the size grows: hours for the quadrature at m = 10**7
+    sizes = []
+
+    def spy(module, name, size):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: sizes.append(
+            size(*args)) or real(*args))
+
+    spy(permlim.bridge, "gauss_legendre", lambda m: m)
+    spy(permlim.spectral, "gauss_legendre", lambda m: m)
+    spy(permlim.bridge, "evaluate_potential", lambda sol, x: np.size(x))
+    cfg = _write_config(tmp_path / "c.ini", f"""
+[cost]
+family = quadratic
+
+{keys}
+
+[output]
+csv_path = {tmp_path / "out.csv"}
+""")
+    assert main([subcommand, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("permlim: out of memory: ")
+    assert max(sizes, default=0) <= 400  # the default bridge m at most
+
+
 # (section, key, subcommand that reads it) for every numeric INI key
 _NUMERIC_KEYS = [
     ("cost", "validate_grid", "validate-cost"),
