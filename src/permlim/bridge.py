@@ -164,8 +164,10 @@ def solve_potential(
     potential: c is read on and above the diagonal only, as the sampler
     reads it, and a non-finite cost raises ValueError before exp runs. Its
     recorded range bounds the exponent of every update, and the iteration
-    multiplies by the full matrix, expanded once in place. An m whose
-    matrix cannot be allocated raises MemoryError before the O(m^2)
+    multiplies by the packed triangle with the matrix's symmetric block
+    product, the one balancing uses: the full matrix is never formed, so
+    about m (m + 128) / 2 doubles are resident, 42.6 MB at m = 3200. An m
+    whose matrix cannot be allocated raises MemoryError before the O(m^2)
     quadrature runs.
     """
     if m < MIN_NODES:
@@ -185,8 +187,6 @@ def solve_potential(
     nodes, weights = gauss_legendre(m)
     G = DensitySource(_cost_block(cost), np.zeros_like)(nodes)  # exp(-c)
     log_min, log_max = map(math.log, G.value_range)  # -max c, -min c
-
-    G = np.asarray(G)  # the full gemv: the triangle product rounds otherwise
     a, trace = _scale(G, weights, tol, max_iter, damping, lambda a, _: _guard_range(
         "potential update", log_min - float(a.max()), log_max - float(a.min())))
     if trace[-1] > tol:
@@ -212,8 +212,10 @@ def _check_allocatable(m: int) -> None:
 
 
 def _scale(G, w, tol, max_iter, damping, check):
-    """Solve exp(a) = G (w exp(-a)), G symmetric and nonnegative with no
-    zero row, by the iteration of :func:`solve_potential` from a = 0.
+    """Solve exp(a) = G (w exp(-a)), G a :class:`KernelMatrix`, nonnegative
+    with no zero row, by the iteration of :func:`solve_potential` from
+    a = 0. Every ``G @ v`` is its symmetric product over the packed
+    triangle: the potential solve and balancing both call this.
 
     Returns a and the residual max_i |exp(t_i - a_i) - 1| after each of at
     most max_iter products with G; the caller judges the last against tol.
@@ -262,6 +264,8 @@ def evaluate_potential(solution: PotentialSolution, x) -> np.ndarray:
     before exp runs on it, and no len(x) x m temporary is made.
     """
     x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.empty(x.shape)
     flat = x.ravel()
     if not (flat.min() >= 0.0 and flat.max() <= 1.0):  # also rejects nan
         raise ValueError("potential arguments must lie in [0,1]")

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from permlim import (ConvergenceError, CostFunction, DensitySource,
                      expression_cost, gamma0, gauss_legendre, grid_nodes,
                      quadratic_cost, sample_kernel, solve_potential,
                      tabulated_source)
-from permlim.bridge import _scale, max_asymmetry
+from permlim.bridge import KernelMatrix, _cost_block, _scale, max_asymmetry
 
 ZERO_COST = quadratic_cost(0.0)
 GAMMA0_QUADRATIC = 0.1529210810610881  # beta = 1 continuum value
@@ -224,17 +226,58 @@ def test_potential_solve_and_sampler_read_one_upper_triangle():
     np.testing.assert_array_equal(bridge_source(sol)(x), expected)
 
 
-def test_potential_solve_multiplies_by_the_full_gibbs_matrix():
-    # The iteration runs on G = exp(-c(x_min, x_max)) mirrored, a full
-    # product per step: the stored-triangle product rounds differently and
-    # would move the potential's last bits, and every CSV with them.
+def test_potential_solve_multiplies_by_the_packed_gibbs_matrix():
+    # The iteration runs on the sampled G = exp(-c(x_min, x_max)) itself,
+    # by its block product over the packed triangle, bit for bit. The full
+    # gemv rounds differently: over these costs at m = 400 the two
+    # potentials differ by at most 7.2e-16 (2.0e-15 at m = 3200).
+    for cost in [*map(quadratic_cost, (0.5, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0)),
+                 expression_cost("abs(x-y)**3")]:
+        sol = solve_potential(cost, m=400)
+        G = DensitySource(_cost_block(cost), np.zeros_like)(sol.nodes)
+        a, trace = _scale(G, sol.weights, 1e-12, 500, 1.0, lambda a, t: None)
+        assert np.array_equal(a, sol.a_values)
+        assert tuple(trace) == sol.residual_trace
+        full, _ = _scale(np.asarray(G), sol.weights, 1e-12, 500, 1.0,
+                         lambda a, t: None)
+        assert np.abs(full - a).max() <= 2e-15
+
+
+def test_potential_solve_never_expands_the_gibbs_matrix(monkeypatch):
+    # Past one block row the solve reads neither ``entries`` nor
+    # ``np.asarray`` of its Gibbs matrix, so the full matrix is never made.
     cost = quadratic_cost(1.0)
-    sol = solve_potential(cost, m=300)
-    x, w = sol.nodes, sol.weights
-    G = np.exp(-cost.evaluator(np.minimum.outer(x, x), np.maximum.outer(x, x)))
-    a, trace = _scale(G, w, 1e-12, 500, 1.0, lambda a, trace: None)
-    assert np.array_equal(a, sol.a_values)
-    assert tuple(trace) == sol.residual_trace
+    expected = {m: solve_potential(cost, m=m).a_values for m in (256, 300)}
+
+    def expand(*args, **kwargs):
+        raise AssertionError("the Gibbs matrix was expanded")
+
+    monkeypatch.setattr(KernelMatrix, "entries", property(expand))
+    monkeypatch.setattr(KernelMatrix, "__array__", expand)
+    with pytest.raises(AssertionError, match="expanded"):
+        np.asarray(constant_source()(np.linspace(0.0, 1.0, 256)))
+    for m, a in expected.items():
+        np.testing.assert_array_equal(solve_potential(cost, m=m).a_values, a)
+
+
+def test_potential_solve_keeps_only_the_packed_triangle_resident(source_env):
+    # A fresh process, so ru_maxrss is this solve's high-water mark. The
+    # packed triangle is m (m + 128) / 2 doubles, 42.6 MB at m = 3200; the
+    # growth measured 50.9-52.0 MB over beta 0.5-16, with 3.3 MB block rows
+    # of cost and their temporaries, against 89.7 MB when the solve
+    # expanded G into the full 8 m^2 = 81.9 MB.
+    m = 3200
+    script = (
+        "import resource\n"
+        "from permlim import quadratic_cost, solve_potential\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"solve_potential(quadratic_cost(1.0), m={m})\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(1024 * (after - before))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=source_env,
+                         capture_output=True, text=True, check=True).stdout
+    packed = 8 * m * (m + 128) // 2
+    assert int(out) <= packed + 16 * 10**6  # 58.6 MB, 0.72 of 8 m^2
 
 
 def test_potential_solve_holds_one_gibbs_matrix():
@@ -344,6 +387,12 @@ def test_evaluate_potential_keeps_shape(quad_solution):
     np.testing.assert_array_equal(values, flat.reshape(x.shape))
     with pytest.raises(ValueError):
         evaluate_potential(quad_solution, [0.5, -0.1])
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_evaluate_potential_on_empty_arguments(quad_solution, shape):
+    values = evaluate_potential(quad_solution, np.empty(shape))
+    assert values.shape == shape and values.dtype == float
 
 
 @pytest.mark.parametrize("x", [[math.nan], [0.5, math.nan, 1.0],
