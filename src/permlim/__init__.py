@@ -21,10 +21,10 @@ from .cost import (CostFunction, ValidationReport, absolute_cost,
                    expression_cost, quadratic_cost, tabulated_cost,
                    validate_cost)
 from .errors import (BalanceError, CapExceededError, ConfigError,
-                     ConvergenceError, OverflowGuardError, PermlimError,
-                     PermlimWarning, RefinementWarning, RuntimeBudgetWarning,
-                     SingularSystemError, SmoothnessWarning, SpectralGapError,
-                     SpectralGapWarning)
+                     ConvergenceError, KernelBuildError, OverflowGuardError,
+                     PermlimError, PermlimWarning, RefinementWarning,
+                     RuntimeBudgetWarning, SingularSystemError,
+                     SmoothnessWarning, SpectralGapError, SpectralGapWarning)
 from .grid import grid_nodes, load_matrix, norm_2n, norm_inf, sample_kernel
 from .lab import (BalanceStudyRecord, ConvergenceRecord, RunConfig, fit_rate,
                   load_config, run_balance_study, run_converge,

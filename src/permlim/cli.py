@@ -3,7 +3,8 @@
 Subcommands: validate-cost, solve-bridge, converge, balance-study.
 Exit codes: 0 success, 1 config error, unreadable/unwritable file or
 out of memory, 2 validation failure, 3 bridge failure, 4 balance failure, 5 spectral
-hypothesis failure.
+hypothesis failure, 6 no C compiler (or no loadable library) for the exact
+permanent.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every error carries an ``exit_code`` so the CLI can map failures to the
 documented process exit codes (1 config, 2 validation, 3 bridge,
-4 balance, 5 spectral hypothesis).
+4 balance, 5 spectral hypothesis, 6 no compiled permanent kernel).
 """
 
 
@@ -67,6 +67,15 @@ class CapExceededError(PermlimError):
     """Requested exact permanent beyond the configured size cap."""
 
     exit_code = 1
+
+
+class KernelBuildError(PermlimError):
+    """The compiled Glynn kernel cannot be built or loaded, so no exact
+    permanent can be computed: no C compiler, a failed or timed-out
+    compile, an unusable cache directory, or a platform whose C long double
+    is not numpy's longdouble."""
+
+    exit_code = 6
 
 
 class PermlimWarning(UserWarning):

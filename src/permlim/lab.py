@@ -67,12 +67,15 @@ class ConvergenceRecord:
     D_n * exp(2 sum_i a(i/n) + n Gamma0), and by Euler-Maclaurin that
     exponent tends to a(1) - a(0), so L_n_scaled / D_n -> exp(a(1) - a(0)):
     the two columns share a limit only when a(1) = a(0), as for a cost
-    symmetric under (x, y) -> (1 - x, 1 - y). Wall-clock fields are
-    informational and not reproducible between runs.
+    symmetric under (x, y) -> (1 - x, 1 - y). D_n_bound is the derived
+    bound on D_n's relative rounding error (PermanentValue.bound), against
+    the exact per(K)/n! of the float64 kernel as sampled. Wall-clock fields
+    are informational and not reproducible between runs.
     """
 
     n: int
     D_n: float
+    D_n_bound: float
     D_n_hat: float
     L_n_scaled: float
     mccullagh: float
@@ -246,7 +249,8 @@ def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
         config, source, solution, g0, fredholm.fredholm_limit, n))
 
     for r in records:
-        print(f"n={r.n:4d}  D_n={r.D_n:.12g}  D_n_hat={r.D_n_hat:.12g}  "
+        print(f"n={r.n:4d}  D_n={r.D_n:.12g} (rel. bound {r.D_n_bound:.1e})  "
+              f"D_n_hat={r.D_n_hat:.12g}  "
               f"mccullagh={r.mccullagh:.12g}  err_Dn={r.err_Dn:.3e}")
     print(f"fredholm_limit = {fredholm.fredholm_limit!r} "
           f"(m={config.nystrom_m}, gap {fredholm.refinement_gap:.3e} "
@@ -289,8 +293,7 @@ def fit_rate(n_list, errors):
     pairs = list(zip(n_list, errors))
     if all(e <= _EXACT_FLOOR for _, e in pairs):
         return None, ()
-    import statistics  # here: about 5 ms that most processes never need
-    med = statistics.median(n_list)
+    med = np.median(n_list)
     use = [(n, e) for n, e in pairs if n >= med and e > 0.0]
     if len(use) < 2:
         use = [(n, e) for n, e in pairs if e > 0.0]
@@ -332,8 +335,9 @@ def _balanced_kernel(config: RunConfig, source, n):
 def _converge_row(config, source, solution, g0, fredholm_value, n):
     K, res, wall_balance = _balanced_kernel(config, source, n)
     t0 = time.perf_counter()
-    Dn = permanent_mod.compute_Dn(K, cap=config.permanent_cap,
-                                  workers=config.workers).value
+    perm = permanent_mod.compute_Dn(K, cap=config.permanent_cap,
+                                    workers=config.workers)
+    Dn = perm.value
     wall_perm = 1e3 * (time.perf_counter() - t0)
     # One permanent per row: balanced = diag(u) K diag(u), and for bridge
     # sources K = diag(exp(-a)) exp(-C) diag(exp(-a)), so multilinearity
@@ -347,8 +351,8 @@ def _converge_row(config, source, solution, g0, fredholm_value, n):
 
     mcc = spectral_mod.mccullagh_estimate(res.balanced / n)
     return ConvergenceRecord(
-        n=n, D_n=Dn, D_n_hat=Dh, L_n_scaled=ln_scaled,
-        mccullagh=mcc, fredholm_limit=fredholm_value,
+        n=n, D_n=Dn, D_n_bound=perm.bound, D_n_hat=Dh,
+        L_n_scaled=ln_scaled, mccullagh=mcc, fredholm_limit=fredholm_value,
         err_Dn=abs(Dn - fredholm_value),
         err_ratio_mcc=abs(mcc / Dh - 1.0),
         h_norm_2n=res.norm_2n_h, h_norm_inf=res.norm_inf_h,

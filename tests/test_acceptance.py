@@ -17,6 +17,7 @@ from permlim import (RunConfig, SpectralGapWarning, balance_fixed_point,
                      fredholm_limit, gamma0, grid_nodes, mccullagh_estimate,
                      permanent_brute, quadratic_cost, run_converge,
                      sample_kernel, solve_potential)
+import permlim.permanent as permanent_module
 from test_grid import _riemann_residuals
 
 LIMIT_COSINE_HALF = 2.0 / math.sqrt(3.0)
@@ -176,7 +177,11 @@ def test_criterion_09_spectral_gap(capsys):
              f"lambda* {lam!r}")
 
 
-def test_criterion_10_worker_count_determinism(capsys, tmp_path):
+def test_criterion_10_worker_count_determinism(capsys, tmp_path,
+                                               monkeypatch):
+    # granules of 4 terms, so n = 4, 6 and 8 split into 2, 8 and 32 of them
+    # and workers > 1 run them on the thread pool
+    monkeypatch.setattr(permanent_module, "_GRANULE", 4)
     paths = {}
     for workers in (1, 2, 4):
         csv = tmp_path / f"run_w{workers}.csv"
@@ -193,11 +198,11 @@ def test_criterion_10_worker_count_determinism(capsys, tmp_path):
                 if field.startswith("wall_ms"):
                     continue
                 b = row[field]
-                if not _close(a, b):
+                if a != b and not (math.isnan(a) and math.isnan(b)):
                     ok = False
                     detail = f"workers={w} field {field}: {a} vs {b}"
-    _verdict(capsys, 10, "study output independent of worker count", ok,
-             detail)
+    _verdict(capsys, 10, "study output bit-identical for any worker count",
+             ok, detail)
 
 
 def _read_rows(path):
@@ -206,10 +211,3 @@ def _read_rows(path):
     return [dict(zip(header, (float(tok) for tok in line.split(","))))
             for line in lines[1:] if not line.startswith("#")]
 
-
-def _close(a, b):
-    if math.isnan(a) and math.isnan(b):
-        return True
-    if a == b:
-        return True
-    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))

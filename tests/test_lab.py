@@ -15,9 +15,9 @@ from permlim import (BalanceError, ConfigError, RunConfig, SpectralGapWarning,
                      run_converge, run_solve_bridge, run_validate_cost)
 from permlim.cli import main
 
-CONVERGE_HEADER = ("n,D_n,D_n_hat,L_n_scaled,mccullagh,fredholm_limit,err_Dn,"
-                   "err_ratio_mcc,h_norm_2n,h_norm_inf,sum_log,m_n,"
-                   "wall_ms_permanent,wall_ms_balance")
+CONVERGE_HEADER = ("n,D_n,D_n_bound,D_n_hat,L_n_scaled,mccullagh,"
+                   "fredholm_limit,err_Dn,err_ratio_mcc,h_norm_2n,h_norm_inf,"
+                   "sum_log,m_n,wall_ms_permanent,wall_ms_balance")
 BALANCE_HEADER = ("n,h_norm_2n,h_norm_inf,sum_log,m_n,n_h_norm_2n,"
                   "sqrt_n_h_norm_inf,n_abs_sum_log,n2_abs_m_n,iterations,"
                   "residual,wall_ms_balance")

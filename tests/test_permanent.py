@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import permlim.permanent as permanent_module
-from permlim import (CapExceededError, RunConfig, RuntimeBudgetWarning,
-                     balance_fixed_point, bridge_source, compute_Dn,
-                     cosine_source, gamma0, grid_nodes, load_config,
-                     permanent_brute, quadratic_cost, run_converge,
-                     sample_kernel, solve_potential)
+from permlim import (CapExceededError, KernelBuildError, RunConfig,
+                     RuntimeBudgetWarning, balance_fixed_point, bridge_source,
+                     compute_Dn, cosine_source, gamma0, grid_nodes,
+                     load_config, permanent_brute, quadratic_cost,
+                     run_converge, sample_kernel, solve_potential)
+from permlim.cli import main
 
 ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
@@ -109,7 +110,10 @@ def test_property_row_scaling(M, data, c):
 @_PROPERTY
 @given(_POSITIVE_SQUARE)
 def test_property_Dn_is_normalised_permanent(M):
-    assert _rel_err(compute_Dn(M).value, _exact_Dn(M)) <= 1e-12
+    pv = compute_Dn(M)
+    err = _rel_err(pv.value, _exact_Dn(M))
+    assert err <= 1e-12
+    assert err <= pv.bound
 
 
 def test_caps_and_validation():
@@ -132,10 +136,16 @@ def test_runtime_warning_threshold(monkeypatch):
         compute_Dn(np.ones((5, 5)))
 
 
-def test_worker_count_does_not_change_bits(cosine_half):
-    K = sample_kernel(cosine_half, 12)
-    vals = [compute_Dn(K, workers=w).value for w in (1, 2, 5)]
-    assert len({v.hex() for v in vals}) == 1
+def test_worker_count_does_not_change_bits(cosine_half, monkeypatch):
+    # n = 20 in the real granules of 2^18 terms (2 of them), and n = 12 in
+    # granules of 2^7 (16); either way the thread pool runs for workers > 1
+    for n, granule in ((20, permanent_module._GRANULE), (12, 1 << 7)):
+        monkeypatch.setattr(permanent_module, "_GRANULE", granule)
+        assert 1 << (n - 1) > granule
+        K = sample_kernel(cosine_half, n)
+        results = [compute_Dn(K, workers=w) for w in (1, 2, 5)]
+        assert len({pv.value.hex() for pv in results}) == 1
+        assert len({pv.bound.hex() for pv in results}) == 1
 
 
 def test_compute_Dn_constant_is_one(const_source):
@@ -195,48 +205,56 @@ def kernel_cache(tmp_path, monkeypatch):
     permanent_module._compiled_kernel.cache_clear()
 
 
-def _use_kernel(kernel, monkeypatch):
-    """Run permanents on the compiled loop only, or force the numpy fallback."""
-    if kernel == "numpy":
-        monkeypatch.setattr(permanent_module, "_compiled_kernel", lambda: None)
-        return
-    if permanent_module._compiled_kernel() is None:
-        if shutil.which(permanent_module._COMPILER) is not None:
-            pytest.fail("a C compiler exists but the Glynn kernel did not build")
-        pytest.skip("no C compiler: only the numpy fallback can run here")
-
-    def numpy_loop(*args):
-        raise AssertionError("the numpy loop ran although the kernel built")
-
-    monkeypatch.setattr(permanent_module, "_glynn_chunk", numpy_loop)
-
-
-# ids 12 and 16 are the compiled path, the default wherever it builds
-@pytest.mark.parametrize("n,kernel", [(12, "compiled"), (16, "compiled"),
-                                      (12, "numpy"), (16, "numpy")],
-                         ids=["12", "16", "numpy-12", "numpy-16"])
-def test_compute_Dn_matches_exact_permanent(n, kernel, cosine_half,
-                                            quad_source, monkeypatch):
-    _use_kernel(kernel, monkeypatch)
+@pytest.mark.parametrize("n", [12, 16])
+def test_compute_Dn_matches_exact_permanent(n, cosine_half, quad_source):
     for source in (cosine_half, quad_source):
         K = sample_kernel(source, n)
-        assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+        pv = compute_Dn(K)
+        err = _rel_err(pv.value, _exact_Dn(K.entries))
+        assert err <= ORACLE_TOL
+        assert err <= pv.bound
 
 
-# the compiled loop and the numpy fallback each against the exact value at
-# n = 20, where the sum spans two granules; ids 22 and 24 run the default
+@pytest.mark.parametrize("beta", [0.5, 2.0, 4.0, 16.0])
+def test_bound_covers_exact_error_on_the_bridge(beta):
+    # measured: errors 1e-17 to 1e-16, bounds 1.3e-16 to 6.2e-16
+    source = bridge_source(solve_potential(quadratic_cost(beta), m=400))
+    for n in (12, 16):
+        K = sample_kernel(source, n)
+        pv = compute_Dn(K)
+        assert _rel_err(pv.value, _exact_Dn(K.entries)) <= pv.bound
+
+
+def test_bound_covers_exact_error_when_column_sums_round():
+    # An entry 2^-70 of its row's largest modulus puts the column sums off
+    # the grid on which the double-double adds are exact, so the bound adds
+    # its term for rounded column sums.
+    rng = np.random.default_rng(3)
+    for n in (6, 10, 14):
+        M = rng.uniform(0.1, 2.0, (n, n))
+        M[1, 2] = 2.0 ** -70
+        pv = compute_Dn(M)
+        assert _rel_err(pv.value, _exact_Dn(M)) <= pv.bound <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_bound_at_the_cap_on_the_bridge(beta):
+    # perfbench's beta range at n = 26: measured 1.7e-14 to 2.1e-14
+    source = bridge_source(solve_potential(quadratic_cost(beta), m=400))
+    assert compute_Dn(sample_kernel(source, 26), workers=2).bound <= 1e-13
+
+
+# each n against the exact value; at n = 20 the sum spans two granules
 @pytest.mark.parametrize("eps", [0.3, 0.45])
-@pytest.mark.parametrize("n,kernel", [
-    (20, "compiled"), (22, None), (24, None), (26, "compiled"),
-    (20, "numpy")], ids=["20", "22", "24", "26", "numpy-20"])
-def test_compute_Dn_matches_rank_two_cosine(n, kernel, eps, monkeypatch):
-    if n == 20:  # the sum spans two granules
-        assert (1 << (n - 1)) - 1 > permanent_module._GRANULE
-    if kernel is not None:  # 26: about 1 s compiled, 23 s on the fallback
-        _use_kernel(kernel, monkeypatch)
+@pytest.mark.parametrize("n", [20, 22, 24, 26])
+def test_compute_Dn_matches_rank_two_cosine(n, eps):
+    if n == 20:
+        assert 1 << (n - 1) > permanent_module._GRANULE
     exact = _cosine_Dn(n, eps)
-    value = compute_Dn(sample_kernel(cosine_source(eps), n), workers=2).value
-    assert abs(np.longdouble(value) - exact) / exact <= 1e-14
+    pv = compute_Dn(sample_kernel(cosine_source(eps), n), workers=2)
+    err = abs(np.longdouble(pv.value) - exact) / exact
+    assert err <= 1e-14
+    assert err <= pv.bound  # measured: bounds 1.2e-15 to 1.6e-14
 
 
 _FAKE_COMPILERS = {
@@ -247,14 +265,17 @@ _FAKE_COMPILERS = {
 
 
 @pytest.mark.parametrize("failure", ["unwritable cache", "shared cache",
+                                     "long double mismatch",
                                      *_FAKE_COMPILERS])
-def test_failed_build_falls_back_to_numpy(failure, kernel_cache, tmp_path,
-                                          monkeypatch, cosine_half):
+def test_failed_build_is_a_one_line_error(failure, kernel_cache, tmp_path,
+                                          monkeypatch, capsys):
     if failure == "unwritable cache":  # XDG_CACHE_HOME is a regular file
         (tmp_path / "xdg").write_text("")
     elif failure == "shared cache":  # other users could plant a library
         kernel_cache.mkdir(parents=True)
         kernel_cache.chmod(0o777)
+    elif failure == "long double mismatch":  # C and numpy disagree
+        monkeypatch.setattr(permanent_module.ctypes, "sizeof", lambda t: 0)
     else:
         cc = tmp_path / "cc"
         if _FAKE_COMPILERS[failure] is not None:
@@ -262,11 +283,33 @@ def test_failed_build_falls_back_to_numpy(failure, kernel_cache, tmp_path,
             cc.chmod(0o755)
         monkeypatch.setattr(permanent_module, "_COMPILER", str(cc))
         monkeypatch.setattr(permanent_module, "_COMPILE_TIMEOUT_S", 0.5)
-    K = sample_kernel(cosine_half, 12)
-    assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
-    assert permanent_module._compiled_kernel() is None
+    with pytest.raises(KernelBuildError) as info:
+        compute_Dn(np.ones((3, 3)))
+    message = str(info.value)
+    assert "\n" not in message
+    assert repr(permanent_module._COMPILER) in message
+    config = tmp_path / "c.ini"
+    config.write_text("[kernel]\nkind = cosine\neps = 0.5\n[study]\n"
+                      "n_list = 4\n[output]\n"
+                      f"csv_path = {tmp_path / 'o.csv'}\n")
+    capsys.readouterr()
+    assert main(["converge", "--config", str(config)]) == 6
+    assert capsys.readouterr().err == f"permlim: {message}\n"
     if kernel_cache.is_dir():  # a failed compile leaves no file behind
         assert list(kernel_cache.iterdir()) == []
+
+
+def test_studies_without_permanents_need_no_compiler(kernel_cache, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(permanent_module, "_COMPILER", str(tmp_path / "cc"))
+    for subcommand, study in [
+            ("validate-cost", ""), ("solve-bridge", ""),
+            ("balance-study", "[study]\nn_list = 8 16\n")]:
+        config = tmp_path / f"{subcommand}.ini"
+        config.write_text(f"[cost]\nfamily = quadratic\n{study}[output]\n"
+                          f"csv_path = {tmp_path / 'o.csv'}\n")
+        assert main([subcommand, "--config", str(config)]) == 0
+    assert permanent_module._compiled_kernel.cache_info().misses == 0
 
 
 def test_compiled_kernel_is_cached_on_disk(kernel_cache, monkeypatch,
@@ -292,15 +335,12 @@ def test_compiled_kernel_is_cached_on_disk(kernel_cache, monkeypatch,
     assert list(kernel_cache.iterdir()) == [library]
 
 
-def test_corrupt_cached_library_is_rebuilt(kernel_cache, monkeypatch,
-                                           cosine_half):
+def test_corrupt_cached_library_is_rebuilt(kernel_cache, cosine_half):
     if shutil.which(permanent_module._COMPILER) is None:
         pytest.skip("no C compiler")
-    library = permanent_module._build_library()
-    with open(library, "r+b") as fh:  # a load fails on the truncated file
-        fh.truncate(7)
-    permanent_module._compiled_kernel.cache_clear()
-    _use_kernel("compiled", monkeypatch)
+    library = permanent_module._library_path()
+    with open(library, "wb") as fh:  # a load fails on the truncated file
+        fh.write(b"\x7fELF\x02\x01\x01")
     K = sample_kernel(cosine_half, 12)
     assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
     assert os.path.getsize(library) > 7
@@ -309,16 +349,17 @@ def test_corrupt_cached_library_is_rebuilt(kernel_cache, monkeypatch,
 
 def test_foreign_cached_library_is_replaced(kernel_cache, cosine_half):
     # A library that loads but lacks glynn_chunk stays loaded under its name
-    # in this process, which falls back to numpy; the file is rebuilt for
-    # the next process.
+    # in this process; the rebuilt file is loaded from its temporary name,
+    # so this process computes the permanent, and later ones load the file.
     if shutil.which(permanent_module._COMPILER) is None:
         pytest.skip("no C compiler")
-    library = permanent_module._build_library()
+    library = permanent_module._library_path()
     subprocess.run([permanent_module._COMPILER, "-shared", "-fPIC", "-x", "c",
                     "-", "-o", library], input="int other(void) { return 0; }",
                    text=True, check=True, capture_output=True)
     K = sample_kernel(cosine_half, 12)
     assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= ORACLE_TOL
+    assert [str(p) for p in kernel_cache.iterdir()] == [library]
     subprocess.run([sys.executable, "-c", "import ctypes, sys; "
                     "ctypes.CDLL(sys.argv[1]).glynn_chunk", library],
                    check=True)
@@ -348,8 +389,8 @@ def test_import_and_config_build_nothing(tmp_path, source_env):
 
 
 def test_import_and_config_load_no_deferred_modules(tmp_path, source_env):
-    # each is imported where it is used: by a parallel permanent, by
-    # fit_rate, and by a compile on a cache miss
+    # each is imported where it is used: by a parallel permanent and by a
+    # compile on a cache miss; statistics, which nothing imports, stays out
     config = tmp_path / "c.ini"
     config.write_text("[cost]\nfamily = quadratic\n[study]\nn_list = 4 8\n")
     out = subprocess.run(
