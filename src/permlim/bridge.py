@@ -44,6 +44,10 @@ _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
 # rows per block row of a KernelMatrix, points per block of
 # evaluate_potential, and side of a symmetry-check tile
 _BLOCK = 128
+# most entries in one tile of a KernelMatrix fill, one row where a row is
+# longer; on the m = 3200 Gibbs fill 16384 made about 100 minor page
+# faults where 32768 made about 25,000
+_TILE = 16384
 
 MIN_NODES = 8
 _J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013,
@@ -318,17 +322,26 @@ class KernelMatrix:
 
     The constructor allocates its n * n buffer first, so a size that does
     not fit raises MemoryError before a potential is evaluated at the
-    nodes, then fills the matrix _BLOCK rows at a time, each block row
+    nodes. The matrix is stored _BLOCK rows at a time, each block row
     P = rho[s:e, s:] from the diagonal rightwards only, so ``density`` (c
     for a Gibbs source) is read at (t_min, t_max) only, and each diagonal
     block is whole. The block rows are packed one after another at the
     front of one n * n buffer, each a contiguous (e - s, n - s) array, so
     the fill touches about n (n + _BLOCK) / 2 of its doubles and no n x n
-    temporary is made. A Gibbs block is negated, shifted and exponentiated
-    in place, in the order -c - a_i - a_j; a non-finite exponent raises
-    ValueError, and one beyond +/-700 OverflowGuardError, before exp runs
-    on its block. ``value_range`` is the (min, max) of the stored entries,
-    recorded during the fill; it is nan when any entry is.
+    temporary is made.
+
+    Each block row is filled from the top in tiles of whole rows, at most
+    _TILE entries (one row where a row is longer), so the fill's
+    temporaries are a tile's size and every step runs on a tile still in
+    cache: ``density`` on the tile's rows; for a Gibbs source, the
+    exponent -c - a_i - a_j formed in place, a non-finite one raising
+    ValueError and one beyond +/-700 OverflowGuardError before exp runs on
+    the tile; the tile's part of the diagonal block below the diagonal
+    copied from above it, from this tile or an earlier one; and the
+    tile's min and max. ``value_range`` is the (min, max) of the stored
+    entries so recorded; it is nan when any entry is. Every entry takes
+    the same elementwise steps as in a whole-matrix construction, so the
+    tiles do not change its bits.
 
     ``K @ v`` is the symmetric product over the block rows,
     out[s:e] += P @ v[s:] and out[e:] += P[:, e-s:].T @ v[s:e] (the plain
@@ -354,19 +367,26 @@ class KernelMatrix:
             e = min(s + _BLOCK, n)
             row = self._buffer[at:at + (e - s) * (n - s)].reshape(e - s, n - s)
             at += row.size
-            if a is None:
-                row[...] = source.density(t[s:e], t[s:])
-            else:
-                with np.errstate(all="ignore"):  # _guard_range rejects nan/inf
-                    # (-a_i) - c is (-c) - a_i exactly, in one pass fewer
-                    np.subtract(-a[s:e, None], source.density(t[s:e], t[s:]),
-                                out=row)
-                    row -= a[None, s:]
-                _guard_range("density", float(row.min()), float(row.max()))
-                np.exp(row, out=row)
-            diag = row[:, :e - s]
-            np.copyto(diag, diag.T, where=np.tri(e - s, k=-1, dtype=bool))
-            lo, hi = np.minimum(lo, row.min()), np.maximum(hi, row.max())  # keeps nan
+            below = np.tri(e - s, k=-1, dtype=bool)  # of the diagonal block
+            step = max(1, _TILE // (n - s))  # rows per tile
+            for r in range(0, e - s, step):
+                tile = row[r:r + step]
+                k = r + tile.shape[0]  # the tile ends at row s + k
+                if a is None:
+                    tile[...] = source.density(t[s + r:s + k], t[s:])
+                else:
+                    with np.errstate(all="ignore"):  # _guard_range rejects nan/inf
+                        # (-a_i) - c is (-c) - a_i exactly, in one pass fewer
+                        np.subtract(-a[s + r:s + k, None],
+                                    source.density(t[s + r:s + k], t[s:]),
+                                    out=tile)
+                        tile -= a[None, s:]
+                    _guard_range("density", float(tile.min()), float(tile.max()))
+                    np.exp(tile, out=tile)
+                # below the diagonal, the tile's part of the diagonal block
+                # takes the entries above it, in this tile or an earlier one
+                np.copyto(tile[:, :k], row[:k, r:k].T, where=below[r:k, :k])
+                lo, hi = np.minimum(lo, tile.min()), np.maximum(hi, tile.max())  # keeps nan
             self._blocks.append(row)
         self._full = n <= _BLOCK  # one diagonal block is the whole matrix
         self._entries = self._buffer.reshape(n, n)

@@ -27,7 +27,8 @@ from its source, flags and platform, and called through ctypes, which
 releases the GIL, so worker threads run granules in parallel. There is no
 other implementation: when the library cannot be built or loaded, the
 permanent raises :class:`KernelBuildError`, whose one-line message names
-the compiler.
+the compiler, and every later permanent of the process raises it again
+without running the compiler.
 """
 
 from __future__ import annotations
@@ -336,24 +337,25 @@ def _compiled_kernel():
     of the terms k_start <= k < k_end, both long double; k = 0 is the
     all-plus sign vector.
 
-    Raises :class:`KernelBuildError` when the library cannot be built or
-    loaded: no compiler, a failed or timed-out compile, an unusable cache
-    directory or a failed load, or a platform whose C long double is not
-    numpy's longdouble. A loaded library is kept for the life of the
-    process; a failure is not, so the next permanent tries again.
+    When the library cannot be built or loaded (no compiler, a failed or
+    timed-out compile, an unusable cache directory or a failed load, or a
+    platform whose C long double is not numpy's longdouble), the function
+    returned raises :class:`KernelBuildError` on every call. Either result
+    is kept for the life of the process, so a process without a usable
+    compiler runs it once, not once per permanent.
     """
     if os.name != "posix" or (
             ctypes.sizeof(ctypes.c_longdouble) != np.dtype(_LD).itemsize):
-        raise KernelBuildError(
+        return _failed(
             f"exact permanents need the C compiler {_COMPILER!r} on a POSIX "
             "platform whose C long double is numpy's longdouble")
     try:
         fn = _load_library()
     except OSError as exc:
-        raise KernelBuildError(
+        return _failed(
             f"exact permanents need the C compiler {_COMPILER!r}: cannot "
-            f"build or load the Glynn kernel ({' '.join(str(exc).split())})"
-        ) from exc
+            f"build or load the Glynn kernel ({' '.join(str(exc).split())})",
+            exc)
     fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int64,
                    ctypes.c_int64, ctypes.c_void_p)
     fn.restype = None
@@ -369,6 +371,14 @@ def _compiled_kernel():
         fn(rows.ctypes.data, n, k_start, k_end, out.ctypes.data)
         return out[0], out[1]
 
+    return chunk
+
+
+def _failed(message: str, cause: Exception | None = None):
+    """A stand-in for the chunk function: every call raises a fresh
+    KernelBuildError(message) from cause."""
+    def chunk(*args):
+        raise KernelBuildError(message) from cause
     return chunk
 
 

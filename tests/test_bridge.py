@@ -263,9 +263,10 @@ def test_potential_solve_never_expands_the_gibbs_matrix(monkeypatch):
 def test_potential_solve_keeps_only_the_packed_triangle_resident(source_env):
     # A fresh process, so ru_maxrss is this solve's high-water mark. The
     # packed triangle is m (m + 128) / 2 doubles, 42.6 MB at m = 3200; the
-    # growth measured 50.9-52.0 MB over beta 0.5-16, with 3.3 MB block rows
-    # of cost and their temporaries, against 89.7 MB when the solve
-    # expanded G into the full 8 m^2 = 81.9 MB.
+    # growth measured 44.3-45.4 MB over beta 0.5-16, the fill's tiles of
+    # cost and their temporaries included, against 50.9-52.0 MB with whole
+    # 3.3 MB block rows of cost and 89.7 MB when the solve expanded G into
+    # the full 8 m^2 = 81.9 MB.
     m = 3200
     script = (
         "import resource\n"
@@ -277,12 +278,13 @@ def test_potential_solve_keeps_only_the_packed_triangle_resident(source_env):
     out = subprocess.run([sys.executable, "-c", script], env=source_env,
                          capture_output=True, text=True, check=True).stdout
     packed = 8 * m * (m + 128) // 2
-    assert int(out) <= packed + 16 * 10**6  # 58.6 MB, 0.72 of 8 m^2
+    assert int(out) <= packed + 4 * 10**6  # 46.6 MB, 0.57 of 8 m^2
 
 
 def test_potential_solve_holds_one_gibbs_matrix():
-    # The Gibbs matrix is filled in place block row by block row: 1.16 m^2
-    # doubles at the peak, against 3.0 with whole-matrix C, -C and exp(-C).
+    # The Gibbs matrix is filled in place tile by tile: its 8 m^2 bytes
+    # plus 0.44 MB at the peak, against 3.3 MB more with whole block rows
+    # of C and 3.0 m^2 doubles with whole-matrix C, -C and exp(-C).
     m = 1600
     tracemalloc.start()
     try:
@@ -290,7 +292,7 @@ def test_potential_solve_holds_one_gibbs_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * m * m * 8
+    assert peak <= m * m * 8 + 10**6
 
 
 def test_solver_argument_checks(quad_cost):

@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from permlim import (DensitySource, balance_fixed_point, bridge_source,
-                     centered_nystrom, compute_Dn, constant_source,
-                     cosine_source, evaluate_potential, gauss_legendre,
-                     grid_nodes, load_matrix, norm_2n, norm_inf,
-                     sample_kernel, tabulated_source)
-from permlim.bridge import _BLOCK
+from permlim import (CostFunction, DensitySource, OverflowGuardError,
+                     balance_fixed_point, bridge_source, centered_nystrom,
+                     compute_Dn, constant_source, cosine_source,
+                     evaluate_potential, gauss_legendre, grid_nodes,
+                     load_matrix, norm_2n, norm_inf, sample_kernel,
+                     solve_potential, tabulated_source)
+from permlim.bridge import _BLOCK, _TILE
 from permlim.cost import bilinear_interpolant
 
 
@@ -205,9 +206,10 @@ def test_expansion_makes_no_second_matrix(quad_source):
 def test_sampled_kernel_leaves_the_lower_triangle_untouched(source_env):
     # the packed block rows fill about n (n + _BLOCK) / 2 of the n * n
     # doubles, and the pages beyond them are never written: the resident
-    # set grows by 0.57 n^2 doubles at n = 2048, against 0.97 for the full
-    # layout. A first sampling warms the allocator, which keeps the freed
-    # block temporaries of a process's first fill resident.
+    # set of a fresh process grows by 0.54-0.58 n^2 doubles at n = 2048
+    # (0.53 is the packed rows), against 0.97 for the full layout. The
+    # fill's temporaries are tiles of at most _TILE entries; whole block
+    # rows of them made a first sampling grow by up to 0.63.
     code = """
 from permlim import constant_source, sample_kernel
 
@@ -217,7 +219,6 @@ def rss():
                     if line.startswith('VmRSS:'))
 
 source, n = constant_source(), 2048
-sample_kernel(source, n)
 before = rss()
 K = sample_kernel(source, n)
 print((rss() - before) / (n * n * 8))
@@ -240,6 +241,79 @@ def test_sampled_entries_are_the_source_matrix(kind, quad_solution_fine):
     want = _full_grid(kind, grid_nodes(300), quad_solution_fine)
     assert entries.tobytes() == want.tobytes()
     assert K.entries is entries and not entries.flags.writeable
+
+
+def test_fill_reads_density_in_tiles():
+    # Every call of density fills one tile of at most _TILE entries (5
+    # rows of 3200 at the first block row), for a plain source at n = 3200
+    # and for the potential solve's Gibbs matrix at m = 1000, and together
+    # they read the upper triangle once.
+    sizes = []
+
+    def spy(x, y):
+        sizes.append(x.size * y.size)
+        return np.ones((x.size, y.size))
+
+    n = 3200
+    sample_kernel(DensitySource(spy), n)
+    assert max(sizes) <= _TILE
+    assert sum(sizes) <= n * (n + _BLOCK) // 2
+
+    def cost(x, y):
+        value = (x - y) ** 2
+        sizes.append(value.size)
+        return value
+
+    m = 1000
+    sizes.clear()
+    solve_potential(CostFunction(cost, "C2", "spy"), m=m)
+    assert max(sizes) <= _TILE
+    assert sum(sizes) <= m * (m + _BLOCK) // 2
+
+
+@pytest.mark.parametrize("kind", ["bridge", "cosine", "tabulated", "constant"])
+def test_tiled_fill_is_the_full_grid_bit_for_bit(kind, quad_solution_fine):
+    # At n = 1000 the tiles of a block row are 16 rows at s = 0 and 18 from
+    # s = _BLOCK on, so their edges fall inside the diagonal blocks and the
+    # last tile of a block row is ragged; the lower part of each diagonal
+    # block is mirrored tile by tile. value_range is the range of the
+    # stored entries, mirrored ones included.
+    source = {"bridge": bridge_source(quad_solution_fine),
+              "cosine": cosine_source(0.3),
+              "tabulated": tabulated_source(TABLE),
+              "constant": constant_source()}[kind]
+    n = 1000
+    assert _TILE // n < _BLOCK and _BLOCK % (_TILE // (n - _BLOCK))
+    K = sample_kernel(source, n)
+    entries = K.entries
+    assert entries.tobytes() == _full_grid(kind, grid_nodes(n),
+                                           quad_solution_fine).tobytes()
+    assert K.value_range == (entries.min(), entries.max())
+
+
+def test_value_range_skips_what_the_mirror_replaces():
+    # density below the diagonal lands in the diagonal blocks' lower parts,
+    # which each tile takes from above the diagonal before its range is
+    # read: a nan there is never stored, so the sampling succeeds
+    K = sample_kernel(DensitySource(
+        lambda x, y: np.where(x[:, None] > y, np.nan, 1.0)), 1000)
+    assert K.value_range == (1.0, 1.0)
+    assert np.all(K.entries == 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exponent_guard_runs_on_each_tile_before_exp():
+    # an exponent of 800 in a later tile of the first block row stops the
+    # fill before exp overflows on it, which would warn
+    n = 1000
+    t = grid_nodes(n)
+    i, j = 5 * (_TILE // n), 700  # the sixth tile starts at row i
+    assert i < _BLOCK
+    source = DensitySource(
+        lambda x, y: np.where(np.outer(x == t[i], y == t[j]), -800.0, 0.0),
+        np.zeros_like)
+    with pytest.raises(OverflowGuardError, match="density exponent range"):
+        source(t)
 
 
 @pytest.mark.parametrize("i,j", [(0, 299), (_BLOCK + 1, 200), (299, 299)],

@@ -257,10 +257,11 @@ def test_compute_Dn_matches_rank_two_cosine(n, eps):
     assert err <= pv.bound  # measured: bounds 1.2e-15 to 1.6e-14
 
 
+# each run of a fake compiler appends a line to its log, the file "$0.log"
 _FAKE_COMPILERS = {
     "missing": None,
-    "fails": "#!/bin/sh\nexit 1\n",
-    "hangs": "#!/bin/sh\nexec sleep 30\n",
+    "fails": "#!/bin/sh\necho run >> \"$0.log\"\nexit 1\n",
+    "hangs": "#!/bin/sh\necho run >> \"$0.log\"\nexec sleep 30\n",
 }
 
 
@@ -297,6 +298,13 @@ def test_failed_build_is_a_one_line_error(failure, kernel_cache, tmp_path,
     assert capsys.readouterr().err == f"permlim: {message}\n"
     if kernel_cache.is_dir():  # a failed compile leaves no file behind
         assert list(kernel_cache.iterdir()) == []
+    if _FAKE_COMPILERS.get(failure):  # the failure is kept for the process
+        log = tmp_path / "cc.log"
+        assert log.read_text() == "run\n"
+        permanent_module._compiled_kernel.cache_clear()  # as in a new process
+        with pytest.raises(KernelBuildError):
+            compute_Dn(np.ones((3, 3)))
+        assert log.read_text() == "run\nrun\n"
 
 
 def test_studies_without_permanents_need_no_compiler(kernel_cache, tmp_path,
