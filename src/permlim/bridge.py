@@ -41,8 +41,8 @@ from .cost import CostFunction, bilinear_interpolant
 from .errors import ConvergenceError, OverflowGuardError, SmoothnessWarning
 
 _EXP_GUARD = 700.0  # |exponent| above this overflows double precision
-# rows per block row of a KernelMatrix, points per block of
-# evaluate_potential, and side of a symmetry-check tile
+# rows per block row of a KernelMatrix and points per block of
+# evaluate_potential
 _BLOCK = 128
 # most entries in one tile of a KernelMatrix fill, one row where a row is
 # longer; on the m = 3200 Gibbs fill 16384 made about 100 minor page
@@ -344,15 +344,15 @@ class KernelMatrix:
     tiles do not change its bits.
 
     ``K @ v`` is the symmetric product over the block rows,
-    out[s:e] += P @ v[s:] and out[e:] += P[:, e-s:].T @ v[s:e] (the plain
-    P @ v for n <= _BLOCK). The first read of ``entries`` or
-    ``np.asarray(K)`` expands the buffer into the full matrix, once, in
-    place: from the last block row to the first, each is copied to rows
-    s..e-1 from column s and mirrored into the strip below it, so no second
-    n x n array is made. Both triangles then hold rho(t_min, t_max), the
-    matrix is exactly symmetric, and it is a read-only array, not a copy.
-    Products keep their block form, over views of the full rows, and their
-    bits.
+    out[s:e] += P @ v[s:] and out[e:] += P[:, e-s:].T @ v[s:e]; for
+    n <= _BLOCK the one block row is the matrix and the second term is
+    empty. The first read of ``entries`` or ``np.asarray(K)`` expands the
+    buffer into the full matrix, once, in place: from the last block row
+    to the first, each is copied to rows s..e-1 from column s and mirrored
+    into the strip below it, so no second n x n array is made. Both
+    triangles then hold rho(t_min, t_max), the matrix is exactly
+    symmetric, and it is a read-only array, not a copy. Products keep
+    their block form, over views of the full rows, and their bits.
     """
 
     def __init__(self, source: DensitySource, t):
@@ -423,8 +423,6 @@ class KernelMatrix:
 
     def __matmul__(self, v) -> np.ndarray:
         n = self.shape[0]
-        if n <= _BLOCK:
-            return self._entries @ v
         out = np.zeros(n)
         for s, P in zip(range(0, n, _BLOCK), self._blocks):
             e = s + P.shape[0]
@@ -476,17 +474,9 @@ def tabulated_source(values: np.ndarray) -> DensitySource:
 
 
 def max_asymmetry(M: np.ndarray) -> float:
-    """max |M[i, j] - M[j, i]| of a square matrix, over _BLOCK x _BLOCK
-    tiles of the upper triangle, so no n x n temporary is made; nan when
-    any entry is nan."""
-    n = M.shape[0]
-    worst = 0.0
-    for s in range(0, n, _BLOCK):
-        for t in range(s, n, _BLOCK):
-            tile = np.abs(M[s:s + _BLOCK, t:t + _BLOCK]
-                          - M[t:t + _BLOCK, s:s + _BLOCK].T)
-            worst = float(np.maximum(worst, tile.max()))  # keeps a nan
-    return worst
+    """max |M[i, j] - M[j, i]| of a square matrix; nan when any entry is
+    nan."""
+    return float(np.abs(M - M.T).max(initial=0.0))
 
 
 def _cost_block(cost: CostFunction):

@@ -134,12 +134,14 @@ def _parse_tol(text) -> float:
     return tol
 
 
-def _at_least(minimum):
-    """Parser of an integer >= minimum."""
+def _integer(minimum, maximum=None):
+    """Parser of an integer >= minimum and, if given, <= maximum."""
     def parse(text) -> int:
         count = int(text)
         if count < minimum:
             raise ValueError(f"must be an integer >= {minimum}")
+        if maximum is not None and count > maximum:
+            raise ValueError(f"must be an integer <= {maximum}")
         return count
     return parse
 
@@ -151,21 +153,22 @@ def _at_least(minimum):
 _SCHEMA = {
     "cost": dict.fromkeys(("family", "beta", "path", "expression",
                            "smoothness")) | {
-        "validate_grid": ("validate_grid", _at_least(cost_mod.MIN_GRID)),
+        "validate_grid": ("validate_grid", _integer(cost_mod.MIN_GRID)),
         "validate_tol": ("validate_tol", _parse_tol)},
     "kernel": dict.fromkeys(("kind", "eps", "path")),
-    "bridge": {"m": ("bridge_m", _at_least(bridge_mod.MIN_NODES)),
+    "bridge": {"m": ("bridge_m", _integer(bridge_mod.MIN_NODES)),
                "tol": ("bridge_tol", _parse_tol),
-               "max_iter": ("bridge_max_iter", _at_least(1)),
+               "max_iter": ("bridge_max_iter", _integer(1)),
                "damping": ("bridge_damping",
                            lambda text: bridge_mod.check_damping(float(text)))},
     "study": {"n_list": ("n_list", _parse_n_list),
-              "permanent_cap": ("permanent_cap", _at_least(1)),
+              "permanent_cap": ("permanent_cap",
+                                _integer(1, permanent_mod.MAX_N)),
               "balance_tol": ("balance_tol", _parse_tol),
-              "balance_max_iter": ("balance_max_iter", _at_least(1)),
+              "balance_max_iter": ("balance_max_iter", _integer(1)),
               "nystrom_m": ("nystrom_m",
-                            _at_least(spectral_mod.MIN_RESOLUTION)),
-              "workers": ("workers", _at_least(1))},
+                            _integer(spectral_mod.MIN_RESOLUTION)),
+              "workers": ("workers", _integer(1))},
     "output": {"csv_path": ("csv_path", str),
                "eigen_dump": ("eigen_dump", _parse_bool)},
 }

@@ -3,8 +3,8 @@
 :func:`compute_Dn` is the one floating-point entry point. It evaluates
 Glynn's signed-average formula: an O(2^(n-1) * n) sum over sign vectors,
 walked in Gray-code order so each step updates a single running vector of
-column sums. :func:`permanent_brute`, the sum over all n! permutations
-(n <= 9), is kept as the small-n reference.
+column sums, for n <= :data:`MAX_N`. :func:`permanent_brute` is the
+literal sum over all n! permutations (n <= 9), streamed as it walks them.
 
 The 2^(n-1) terms alternate in sign and cancel almost completely, which
 amplifies rounding. Every row is first divided by a power of two near its
@@ -55,6 +55,8 @@ _GRANULE = 1 << 18  # work unit; fixed so results do not depend on workers
 _BRUTE_MAX = 9
 
 DEFAULT_CAP = 26
+# the largest n whose 2^(n-1) Glynn terms the loop's int64 index can count
+MAX_N = 63
 # The compiled loop takes 24 to 36 ns per term on one core at n = 24 and 26
 # (2-core Xeon VM with AVX2; best and median of 10 processes), so n = 26
 # takes about 1 s, n = 28 about 4 s, and each further n doubles that.
@@ -168,21 +170,17 @@ class PermanentValue:
 
 
 def permanent_brute(M) -> PermanentValue:
-    """Permanent as the literal sum over all n! permutations (n <= 9)."""
+    """Permanent as the literal sum over all n! permutations (n <= 9).
+
+    Each product is formed as the permutations are walked and handed to
+    math.fsum, so nothing of size n! is ever held.
+    """
     M = _check_matrix(M, _BRUTE_MAX,
-                      reason=f"brute-force permanent is limited to n <= {_BRUTE_MAX}")
-    n = M.shape[0]
-    prods = np.prod(M[np.arange(n), _permutation_table(n)], axis=1)
-    value = math.fsum(prods.tolist())
-    return PermanentValue(n, value)
-
-
-@functools.lru_cache(maxsize=None)
-def _permutation_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows; read-only, built once per n."""
-    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    table.flags.writeable = False
-    return table
+                      reason=f"exceeds {_BRUTE_MAX}, the brute-force limit")
+    rows = M.tolist()
+    return PermanentValue(len(rows), math.fsum(
+        math.prod(r[j] for r, j in zip(rows, p))
+        for p in itertools.permutations(range(len(rows)))))
 
 
 def compute_Dn(K, *, cap: int = DEFAULT_CAP, workers: int = 1) -> PermanentValue:
@@ -197,9 +195,13 @@ def compute_Dn(K, *, cap: int = DEFAULT_CAP, workers: int = 1) -> PermanentValue
     so D_n never passes through the overflowing per(K) and the entries are
     not rounded by a division. The result's ``bound`` is a derived bound on
     |value - per(K)/n!| / (per(K)/n!) (:func:`_rounding_bound`). Raises
-    :class:`KernelBuildError` when the compiled loop cannot be had.
+    :class:`CapExceededError` for n above ``cap`` or above :data:`MAX_N`,
+    whatever ``cap`` is, and :class:`KernelBuildError` when the compiled
+    loop cannot be had.
     """
-    M = _check_matrix(K, cap)
+    M = _check_matrix(K, min(cap, MAX_N), None if cap <= MAX_N else (
+        f"exceeds {MAX_N}: the Glynn loop counts its 2^(n-1) terms with a "
+        "64-bit index"))
     return PermanentValue(M.shape[0], *_normalised_permanent(M, workers))
 
 
@@ -209,9 +211,9 @@ def _check_matrix(M, cap, reason=None) -> np.ndarray:
         raise ValueError("permanent expects a nonempty square matrix")
     n = M.shape[0]
     if n > cap:
-        raise CapExceededError(
-            reason or f"n={n} exceeds the permanent cap {cap}; "
-            "raise the cap explicitly to accept the 2^n cost")
+        raise CapExceededError(f"n={n} " + (
+            reason or f"exceeds the permanent cap {cap}; "
+            "raise the cap explicitly to accept the 2^n cost"))
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     return M

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,33 @@ def source_env():
     src = os.path.dirname(os.path.dirname(permlim.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def peak_rss_growth(source_env):
+    """growth(setup, snippet): how many bytes running ``snippet`` raises
+    the peak resident size of a fresh interpreter that has run ``setup``.
+
+    The peak is VmHWM in /proc/self/status, the high-water mark of the
+    interpreter's own address space. Its ru_maxrss would not do: Linux
+    starts an exec'd child's ru_maxrss at its parent's high-water mark, so
+    once this pytest process has grown past the child, it reads 0 growth.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+
+    def growth(setup, snippet):
+        script = (
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            + setup + "before = peak()\n" + snippet
+            + "print(1024 * (peak() - before))\n")
+        return int(subprocess.run(
+            [sys.executable, "-c", script], env=source_env,
+            capture_output=True, text=True, check=True).stdout)
+    return growth
 
 
 @pytest.fixture(scope="session")

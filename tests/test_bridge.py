@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -260,25 +258,19 @@ def test_potential_solve_never_expands_the_gibbs_matrix(monkeypatch):
         np.testing.assert_array_equal(solve_potential(cost, m=m).a_values, a)
 
 
-def test_potential_solve_keeps_only_the_packed_triangle_resident(source_env):
-    # A fresh process, so ru_maxrss is this solve's high-water mark. The
-    # packed triangle is m (m + 128) / 2 doubles, 42.6 MB at m = 3200; the
-    # growth measured 44.3-45.4 MB over beta 0.5-16, the fill's tiles of
-    # cost and their temporaries included, against 50.9-52.0 MB with whole
-    # 3.3 MB block rows of cost and 89.7 MB when the solve expanded G into
-    # the full 8 m^2 = 81.9 MB.
+def test_potential_solve_keeps_only_the_packed_triangle_resident(
+        peak_rss_growth):
+    # The packed triangle is m (m + 128) / 2 doubles, 42.6 MB at m = 3200;
+    # the growth measured 44.3-45.4 MB over beta 0.5-16, the fill's tiles
+    # of cost and their temporaries included, against 50.9-52.0 MB with
+    # whole 3.3 MB block rows of cost and 89.7 MB when the solve expanded G
+    # into the full 8 m^2 = 81.9 MB.
     m = 3200
-    script = (
-        "import resource\n"
-        "from permlim import quadratic_cost, solve_potential\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"solve_potential(quadratic_cost(1.0), m={m})\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(1024 * (after - before))\n")
-    out = subprocess.run([sys.executable, "-c", script], env=source_env,
-                         capture_output=True, text=True, check=True).stdout
+    growth = peak_rss_growth(
+        "from permlim import quadratic_cost, solve_potential\n",
+        f"solve_potential(quadratic_cost(1.0), m={m})\n")
     packed = 8 * m * (m + 128) // 2
-    assert int(out) <= packed + 4 * 10**6  # 46.6 MB, 0.57 of 8 m^2
+    assert growth <= packed + 4 * 10**6  # 46.6 MB, 0.57 of 8 m^2
 
 
 def test_potential_solve_holds_one_gibbs_matrix():

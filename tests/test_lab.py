@@ -896,6 +896,7 @@ _LOAD_CHECKED = {"validate_grid", "validate_tol", "m", "tol", "max_iter",
 _PAST_LIMIT = [("cost", "validate_grid", "validate-cost", "1"),
                ("bridge", "m", "solve-bridge", "7"),
                ("bridge", "damping", "solve-bridge", "1.5"),
+               ("study", "permanent_cap", "converge", "64"),
                ("study", "nystrom_m", "converge", "31")]
 _BAD_VALUES = [case + (value,) for value in ("nan", "-1", "0", "x")
                for case in _NUMERIC_KEYS] + _PAST_LIMIT

@@ -3,7 +3,6 @@ import os
 import shutil
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from permlim import (CapExceededError, KernelBuildError, RunConfig,
                      load_config, permanent_brute, quadratic_cost,
                      run_converge, sample_kernel, solve_potential)
 from permlim.cli import main
+from oracles import _cosine_Dn, _exact_Dn, _rel_err
 
 ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
@@ -41,13 +41,12 @@ def test_two_by_two():
     assert permanent_brute(M).value == pytest.approx(10.0, abs=1e-12)
 
 
-def test_methods_agree_with_brute_force():
+def test_random_matrices_match_exact_permanent():
     rng = np.random.default_rng(2024)
     for n in range(3, 9):
         for _ in range(5):
             M = rng.uniform(0.0, 2.0, (n, n))
-            ref = permanent_brute(M).value
-            assert abs(_per(M) - ref) <= 1e-12 * ref
+            assert _rel_err(compute_Dn(M).value, _exact_Dn(M)) <= 1e-12
 
 
 def test_dominant_row_keeps_digits():
@@ -121,6 +120,13 @@ def test_caps_and_validation():
         compute_Dn(np.ones((5, 5)), cap=4)
     with pytest.raises(CapExceededError):
         permanent_brute(np.ones((10, 10)))
+    # 2^63 terms overflow the loop's int64 index, whatever the cap says
+    top = permanent_module.MAX_N
+    assert top == 63
+    with pytest.raises(CapExceededError, match=f"n={top + 1} exceeds {top}"):
+        compute_Dn(np.ones((top + 1, top + 1)), cap=90)
+    with pytest.raises(CapExceededError, match="permanent cap 26"):
+        compute_Dn(np.ones((27, 27)))
     with pytest.raises(ValueError, match="non-finite"):
         compute_Dn(np.array([[1.0, np.nan], [1.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -164,9 +170,7 @@ def test_compute_Dn_small_cases(cosine_half):
 
 def test_normalized_mode_consistency(cosine_half):
     K = sample_kernel(cosine_half, 7)
-    raw = permanent_brute(K.entries).value
-    norm = compute_Dn(K).value
-    assert norm * math.factorial(7) == pytest.approx(raw, rel=1e-10)
+    assert _rel_err(compute_Dn(K).value, _exact_Dn(K.entries)) <= 1e-10
 
 
 def test_Dn_hat_equals_Dn_times_scaling(cosine_half):
@@ -430,60 +434,6 @@ def _Ln(cost, n):
     return compute_Dn(np.exp(-cost(t[:, None], t[None, :]))).value
 
 
-def _rel_err(value, exact):
-    return abs(float((Fraction(value) - exact) / exact))
-
-
-def _exact_Dn(A):
-    """per(A)/n! exactly, for the float64 matrix A as given.
-
-    Every float64 is an integer over a power of two, so scaling each row by
-    its largest denominator turns A into Python ints without rounding; a
-    Gray-code Ryser sum over those ints is then exact.
-    """
-    rows, shift = [], 0
-    for row in np.asarray(A, dtype=np.float64):
-        ratios = [float(v).as_integer_ratio() for v in row]
-        d = max(den.bit_length() - 1 for _, den in ratios)
-        rows.append([num << (d - den.bit_length() + 1) for num, den in ratios])
-        shift += d
-    n = len(rows)
-    cols = list(zip(*rows))
-    sums, inside, size, total = [0] * n, [False] * n, 0, 0
-    for k in range(1, 1 << n):  # k-th Gray code flips column j
-        j = (k & -k).bit_length() - 1
-        step = -1 if inside[j] else 1
-        inside[j] = not inside[j]
-        size += step
-        sums = [s + step * c for s, c in zip(sums, cols[j])]
-        term = math.prod(sums)
-        total += term if (n - size) % 2 == 0 else -term
-    return Fraction(total, math.factorial(n) << shift)
-
-
-def _cosine_Dn(n, eps):
-    """D_n of the rank-two kernel 1 + 2 eps c_i c_j, c_i = cos(pi i/n), in
-    long double, from D_n = sum_k (2 eps)^k E_k(c)^2 / C(n, k), where E_k
-    is the k-th elementary symmetric polynomial.
-
-    The nodes pair up, c_(n-i) = -c_i, with c_(n/2) = 0 for even n and
-    c_n = -1, so prod_i (1 + c_i x) = (1 - x) prod_(i <= p) (1 - c_i^2 x^2)
-    with p = (n - 1) // 2, and |E_k(c)| = e_(k//2)(c_1^2, ..., c_p^2) for
-    k <= 2p + 1 (E_k = 0 above): a sum of positive terms, free of
-    cancellation. C(n, k) <= C(26, 13) is an exact integer here.
-    """
-    ld = np.longdouble
-    p = (n - 1) // 2
-    squares = np.cos(4 * np.arctan(ld(1)) * np.arange(1, p + 1, dtype=ld)
-                     / n) ** 2
-    e = [ld(1)] + [ld(0)] * p  # e[m] = e_m of the squares seen so far
-    for a in squares:
-        for m in range(p, 0, -1):
-            e[m] += a * e[m - 1]
-    return sum((2 * ld(eps)) ** k * e[k // 2] ** 2 / ld(math.comb(n, k))
-               for k in range(2 * p + 2))
-
-
 def test_cosine_oracle_matches_exact_permanent():
     for eps in (0.3, 0.45):
         for n in range(1, 13):
@@ -543,7 +493,18 @@ csv_path = {tmp_path / "o.csv"}
 def test_exact_oracle_matches_brute_force():
     rng = np.random.default_rng(11)
     assert _exact_Dn(np.ones((6, 6))) == 1
-    for n in (1, 3, 6):
+    for n in (1, 3, 6, 8, 9):
         M = rng.uniform(0.1, 2.0, (n, n))
         brute = permanent_brute(M).value / math.factorial(n)
         assert _rel_err(brute, _exact_Dn(M)) <= 1e-14
+
+
+def test_brute_force_holds_no_permutation_table(peak_rss_growth):
+    # Summed as the permutations are walked: a table of all n! of them,
+    # kept per n, raised the process's peak by 75.8 MB over n = 1 ... 9.
+    growth = peak_rss_growth(
+        "import numpy as np\n"
+        "from permlim import permanent_brute\n"
+        "mats = [np.full((n, n), 0.5) for n in range(1, 10)]\n",
+        "values = [permanent_brute(M).value for M in mats]\n")
+    assert growth <= 2 * 10**6
