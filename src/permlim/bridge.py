@@ -62,8 +62,11 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     initial guesses are Olver's Bessel-zero asymptotics for the third of
     the roots nearest each end of [-1, 1] and Tricomi's for the others
     (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). The weight of root x
-    is 2 / ((1 - x^2) P_m'(x)^2) on [-1, 1], halved on [0, 1].
+    is 2 / ((1 - x^2) P_m'(x)^2) on [-1, 1], halved on [0, 1]. An m below
+    1 raises ValueError.
     """
+    if m < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs m >= 1 nodes, not {m}")
     k = np.arange(1, (m + 1) // 2 + 1)  # roots in [0, 1), largest first
     rho = m + 0.5
     x = (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(math.pi * (k - 0.25) / rho)

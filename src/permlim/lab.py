@@ -21,7 +21,7 @@ import configparser
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -227,10 +227,8 @@ def run_solve_bridge(config: RunConfig) -> bridge_mod.PotentialSolution:
         raise ConfigError("solve-bridge requires a [cost] section")
     _require_csv_path(config, "solve-bridge")
     solution = _solve(config)
-    with open(config.csv_path, "w") as fh:
-        fh.write("node,weight,a_value\n")
-        for row in zip(solution.nodes, solution.weights, solution.a_values):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(config.csv_path, ("node", "weight", "a_value"), zip(
+        solution.nodes, solution.weights, solution.a_values))
     print(f"gamma0 = {bridge_mod.gamma0(solution)!r}")
     print(f"residual = {solution.final_residual:.3e} "
           f"after {solution.iterations} iterations")
@@ -239,14 +237,16 @@ def run_solve_bridge(config: RunConfig) -> bridge_mod.PotentialSolution:
 
 def run_converge(config: RunConfig) -> list[ConvergenceRecord]:
     """Full study: kernels, balancing, exact permanents, determinant limits."""
-    over = [n for n in config.n_list or () if n > config.permanent_cap]
+    cap = min(config.permanent_cap, permanent_mod.MAX_N)  # compute_Dn's rule
+    over = [n for n in config.n_list or () if n > cap]
     if over:
-        raise ConfigError(
-            f"n_list entries {over} exceed permanent_cap={config.permanent_cap}")
+        limit = "permanent_cap" if cap == config.permanent_cap else "MAX_N"
+        raise ConfigError(f"n_list entries {over} exceed {limit}={cap}")
     source, solution = _build_source(config, "converge")
     fredholm = spectral_mod.fredholm_limit(source, config.nystrom_m)
     if config.eigen_dump:
-        _dump_eigenvalues(config.csv_path, fredholm.eigenvalues)
+        _write_csv(os.path.splitext(config.csv_path)[0] + ".eigs", (),
+                   zip(fredholm.eigenvalues))
     g0 = bridge_mod.gamma0(solution) if solution is not None else math.nan
     records = _study_rows(config, ConvergenceRecord, lambda n: _converge_row(
         config, source, solution, g0, fredholm.fredholm_limit, n))
@@ -321,7 +321,8 @@ def _study_rows(config: RunConfig, record_type, make_row) -> list:
     finally:
         aborted_at = (config.n_list[len(records)]
                       if len(records) < len(config.n_list) else None)
-        _write_csv(config.csv_path, record_type, records, aborted_at)
+        _write_csv(config.csv_path, [f.name for f in fields(record_type)],
+                   map(astuple, records), aborted_at)
     return records
 
 
@@ -473,12 +474,14 @@ def _solve(config: RunConfig) -> bridge_mod.PotentialSolution:
         max_iter=config.bridge_max_iter, damping=config.bridge_damping)
 
 
-def _write_csv(csv_path, record_type, records, aborted_at) -> None:
-    names = [field.name for field in fields(record_type)]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for r in records:
-            fh.write(",".join(_fmt(getattr(r, name)) for name in names) + "\n")
+def _write_csv(path, names, rows, aborted_at=None) -> None:
+    """Every file the runners write: a header of ``names`` (none if empty),
+    a line per row of values, and `# aborted at n=<n>` when given."""
+    with open(path, "w") as fh:
+        if names:
+            fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
         if aborted_at is not None:
             fh.write(f"# aborted at n={aborted_at}\n")
 
@@ -487,13 +490,6 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
-
-
-def _dump_eigenvalues(csv_path, eigenvalues) -> None:
-    stem, _ = os.path.splitext(csv_path)
-    with open(stem + ".eigs", "w") as fh:
-        for lam in eigenvalues:
-            fh.write(f"{float(lam)!r}\n")
 
 
 def _ratio(values) -> float:

@@ -24,7 +24,10 @@ The Gray-code loop is a small C function, compiled with the system's
 ``cc`` on the first permanent of a process (never at import), cached in
 ``$XDG_CACHE_HOME/permlim`` or ``~/.cache/permlim`` under a name hashed
 from its source, flags and platform, and called through ctypes, which
-releases the GIL, so worker threads run granules in parallel. There is no
+releases the GIL, so worker threads run granules of 2^18 terms in
+parallel: at most one thread per CPU the process may use, each with a few
+granules in flight, so memory stays flat however many terms there are,
+and the granule totals are added in ascending order. There is no
 other implementation: when the library cannot be built or loaded, the
 permanent raises :class:`KernelBuildError`, whose one-line message names
 the compiler, and every later permanent of the process raises it again
@@ -33,6 +36,7 @@ without running the compiler.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -52,6 +56,7 @@ _LD = np.longdouble
 _U = float(np.finfo(_LD).eps) / 2  # unit roundoff of long double, 2^-64 on x86
 _U_DOUBLE = float(np.finfo(float).eps) / 2
 _GRANULE = 1 << 18  # work unit; fixed so results do not depend on workers
+_AHEAD = 4  # granules per thread submitted ahead of the in-order reduction
 _BRUTE_MAX = 9
 
 DEFAULT_CAP = 26
@@ -197,7 +202,8 @@ def compute_Dn(K, *, cap: int = DEFAULT_CAP, workers: int = 1) -> PermanentValue
     |value - per(K)/n!| / (per(K)/n!) (:func:`_rounding_bound`). Raises
     :class:`CapExceededError` for n above ``cap`` or above :data:`MAX_N`,
     whatever ``cap`` is, and :class:`KernelBuildError` when the compiled
-    loop cannot be had.
+    loop cannot be had. ``workers`` threads share the terms, but never more
+    than the CPUs the process may use; the value does not depend on them.
     """
     M = _check_matrix(K, min(cap, MAX_N), None if cap <= MAX_N else (
         f"exceeds {MAX_N}: the Glynn loop counts its 2^(n-1) terms with a "
@@ -232,40 +238,72 @@ def _normalised_permanent(M, workers) -> tuple[float, float]:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     terms = 1 << (n - 1)
+    granules = range(0, terms, _GRANULE)
+    threads = min(workers, len(granules), _usable_cpus())
     if n > _WARN_ABOVE:
         warnings.warn(
             f"permanent at n={n} evaluates 2^{n - 1} terms: expect about "
-            f"{terms * _NS_PER_TERM * 1e-9 / workers:.0f} s at "
-            f"workers={workers}", RuntimeBudgetWarning, stacklevel=3)
+            f"{terms * _NS_PER_TERM * 1e-9 / threads:.0f} s on {threads} "
+            f"thread(s) (workers={workers})", RuntimeBudgetWarning,
+            stacklevel=3)
     chunk = _compiled_kernel()
     _, exps = np.frexp(np.abs(M).max(axis=1))  # a zero row keeps e = 0
     rows = np.ascontiguousarray(np.ldexp(M, -exps[:, None]))  # exact
 
     # per(M) = 2^(1-n) sum over delta in {+-1}^n, delta_1 = +1, of
     # prod_k delta_k * prod_j sum_i delta_i M_ij (Glynn). The sum is cut at
-    # fixed granule boundaries; workers only decide which thread evaluates
+    # fixed granule boundaries; threads only decide which of them evaluates
     # which granule, and the reductions below run in ascending granule
     # order, so value and bound are bit-identical for any worker count (the
     # terms cancel so heavily that *any* count-dependent regrouping would
     # move the result by far more than 1e-12 relative).
-    edges = [*range(0, terms, _GRANULE), terms]
-    spans = list(zip(edges, edges[1:]))
-    if workers == 1 or len(spans) == 1:
-        parts = [chunk(rows, n, *span) for span in spans]
-    else:
-        # imported here: about 10 ms that a single-worker process never needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-            parts = list(pool.map(lambda s: chunk(rows, n, *s), spans))
     total = comp = abs_sum = _LD(0.0)
-    for part, part_abs in parts:
+    for part, part_abs in _in_order(
+            lambda k: chunk(rows, n, k, min(k + _GRANULE, terms)),
+            granules, threads):
         y = part - comp
         t = total + y
         comp = (t - total) - y
         total = t
         abs_sum += part_abs
     value = np.ldexp(total / _LD(math.factorial(n)), int(exps.sum()) - (n - 1))
-    return float(value), _rounding_bound(rows, total, abs_sum, spans[0][1])
+    return float(value), _rounding_bound(rows, total, abs_sum,
+                                         min(_GRANULE, terms))
+
+
+def _in_order(run, items, threads):
+    """run(item) for each of the lazy ``items``, yielded in their order.
+
+    On one thread this is map(run, items). Otherwise a pool of ``threads``
+    runs them with _AHEAD items per thread in flight, so memory does not
+    grow with the number of items; an exception, Ctrl-C included, cancels
+    the queued items and waits only for the running ones.
+    """
+    if threads == 1:
+        yield from map(run, items)
+        return
+    # imported here: 5 to 8 ms after `import permlim` that a single-worker
+    # process never needs
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=threads)
+    pending = collections.deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(run, item))
+            if len(pending) == _AHEAD * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _rounding_bound(rows, total, abs_sum, span) -> float:

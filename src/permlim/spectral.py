@@ -13,9 +13,10 @@ Comp. 2010), which converges exponentially in the resolution for an
 analytic density and algebraically for a merely continuous one. Because
 it converges at the rate of the quadrature, the value at m is checked
 from below, against m // 2, and their gap estimates the error at m from
-above. A check level too coarse for the source, whose aliased spectrum
-loses the gap or overflows the determinant, reports an infinite gap
-instead of failing.
+above. Both levels are built by :func:`centered_nystrom`, and the floor
+of 32 nodes on m is :func:`fredholm_limit`'s own. A check level too
+coarse for the source, whose aliased spectrum loses the gap or overflows
+the determinant, reports an infinite gap instead of failing.
 
 Both are one functional of a symmetric centered matrix: B = (K_bal - 1)/n
 is the centered operator on the right-endpoint rule, the Nystrom matrix
@@ -101,59 +102,12 @@ def centered_nystrom(source: DensitySource, m: int) -> np.ndarray:
     f -> integral (rho(x, y) - 1) f(y) dy on mean-zero functions. The
     density source samples rho on the nodes z exactly symmetric, and so is
     the matrix. It is formed in the sample's own buffer, so one m x m array
-    is alive at a time; an m whose matrix cannot be allocated raises
-    MemoryError before the O(m^2) quadrature runs.
+    is alive at a time. An m below 1 raises ValueError, and an m whose
+    matrix cannot be allocated MemoryError, both before the O(m^2)
+    quadrature runs.
     """
-    if m < MIN_RESOLUTION:
-        raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
-    return _nystrom(source, m)
-
-
-def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
-    """Estimate prod (1 - lambda_k^2)^(-1/2) over the centered spectrum.
-
-    The product runs over all m eigenvalues of the centered Nystrom
-    matrix, as a sum of logarithms, with the gap check of
-    :func:`mccullagh_estimate`; a SpectralGapError at resolution m is
-    raised. A SpectralGapWarning is emitted when the largest |lambda| at
-    resolution m reaches 0.99, where the product is close to divergent.
-
-    The estimate is checked from below, at m // 2 (which may be under
-    MIN_RESOLUTION): the Nystrom determinant converges at the rate of the
-    quadrature (Bornemann, Math. Comp. 2010), so the m // 2 to m gap
-    estimates the error at m from above. If the two values disagree by
-    more than 1e-5 relative, a RefinementWarning is emitted and the report
-    is marked not converged, but the resolution-m value is still returned.
-    A check level too coarse for the source can alias an eigenvalue to
-    modulus 1 or more, or overflow the determinant; that gives gap inf
-    and the same warning, not an error.
-    """
-    value, eigs, lam_star = _centered_determinant(centered_nystrom(source, m))
-    if lam_star >= _GAP_WARN:
-        warnings.warn(
-            f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
-            f">= {_GAP_WARN}; the limiting product is close to divergent",
-            SpectralGapWarning, stacklevel=2)
-    coarse = m // 2
-    try:
-        coarse_value = _centered_determinant(_nystrom(source, coarse))[0]
-    except SpectralGapError:  # the check level aliases: no estimate
-        coarse_value = math.inf
-    gap = abs(coarse_value / value - 1.0)
-    converged = gap <= _REFINEMENT_TOL
-    if not converged:
-        warnings.warn(
-            f"Fredholm estimate moved by {gap:.3e} relative between "
-            f"m={coarse} and m={m}; reporting the m={m} value as "
-            "non-converged", RefinementWarning, stacklevel=2)
-    return SpectrumReport(eigenvalues=eigs, lambda_star=lam_star,
-                          fredholm_limit=value, converged=converged,
-                          refinement_gap=gap)
-
-
-def _nystrom(source: DensitySource, m: int) -> np.ndarray:
-    """:func:`centered_nystrom` without its resolution minimum, so the
-    check level m // 2 of :func:`fredholm_limit` can go below it."""
+    if m < 1:
+        raise ValueError("resolution m must be >= 1")
     _check_allocatable(m)
     z, w = gauss_legendre(m)
     s = np.sqrt(w)
@@ -166,6 +120,53 @@ def _nystrom(source: DensitySource, m: int) -> np.ndarray:
     for i in range(0, m, _BLOCK):
         S[i:i + _BLOCK] *= np.outer(s[i:i + _BLOCK], s)
     return S
+
+
+def fredholm_limit(source: DensitySource, m: int) -> SpectrumReport:
+    """Estimate prod (1 - lambda_k^2)^(-1/2) over the centered spectrum.
+
+    The product runs over all m eigenvalues of :func:`centered_nystrom`,
+    as a sum of logarithms, with the gap check of
+    :func:`mccullagh_estimate`; a SpectralGapError at resolution m is
+    raised, and an m below MIN_RESOLUTION (32) raises ValueError. A
+    SpectralGapWarning is emitted when the largest |lambda| at resolution
+    m reaches 0.99, where the product is close to divergent.
+
+    The estimate is checked from below, by the same routine at m // 2
+    (which may be under MIN_RESOLUTION): the Nystrom determinant converges
+    at the rate of the quadrature (Bornemann, Math. Comp. 2010), so the
+    m // 2 to m gap estimates the error at m from above. If the two values
+    disagree by more than 1e-5 relative, a RefinementWarning is emitted and
+    the report is marked not converged, but the resolution-m value is still
+    returned.
+    A check level too coarse for the source can alias an eigenvalue to
+    modulus 1 or more, or overflow the determinant; that gives gap inf
+    and the same warning, not an error.
+    """
+    if m < MIN_RESOLUTION:
+        raise ValueError(f"resolution m must be >= {MIN_RESOLUTION}")
+    value, eigs, lam_star = _centered_determinant(centered_nystrom(source, m))
+    if lam_star >= _GAP_WARN:
+        warnings.warn(
+            f"spectral gap nearly closed: max |eigenvalue| = {lam_star:.6f} "
+            f">= {_GAP_WARN}; the limiting product is close to divergent",
+            SpectralGapWarning, stacklevel=2)
+    coarse = m // 2
+    try:
+        coarse_value = _centered_determinant(
+            centered_nystrom(source, coarse))[0]
+    except SpectralGapError:  # the check level aliases: no estimate
+        coarse_value = math.inf
+    gap = abs(coarse_value / value - 1.0)
+    converged = gap <= _REFINEMENT_TOL
+    if not converged:
+        warnings.warn(
+            f"Fredholm estimate moved by {gap:.3e} relative between "
+            f"m={coarse} and m={m}; reporting the m={m} value as "
+            "non-converged", RefinementWarning, stacklevel=2)
+    return SpectrumReport(eigenvalues=eigs, lambda_star=lam_star,
+                          fredholm_limit=value, converged=converged,
+                          refinement_gap=gap)
 
 
 def _centered_determinant(S):

@@ -1,6 +1,7 @@
 """Exact references for the permanent tests: per(A)/n! in big-integer
-arithmetic, the closed form of the rank-two cosine kernel, and the relative
-error against either."""
+arithmetic, the same for a low-rank kernel given by its modes, the closed
+form of the rank-two cosine kernel, and the relative error against any of
+them."""
 
 import math
 from fractions import Fraction
@@ -13,19 +14,22 @@ def _rel_err(value, exact):
     return abs(float((Fraction(value) - exact) / exact))
 
 
-def _exact_Dn(A):
-    """per(A)/n! exactly, for the float64 matrix A as given.
+def _as_integers(values):
+    """(ints, d) with values = ints / 2^d exactly, for float64 values.
 
-    Every float64 is an integer over a power of two, so scaling each row by
-    its largest denominator turns A into Python ints without rounding; a
-    Gray-code Ryser sum over those ints is then exact.
+    Every float64 is an integer over a power of two, so scaling by the
+    largest denominator turns them into Python ints without rounding.
     """
-    rows, shift = [], 0
-    for row in np.asarray(A, dtype=np.float64):
-        ratios = [float(v).as_integer_ratio() for v in row]
-        d = max(den.bit_length() - 1 for _, den in ratios)
-        rows.append([num << (d - den.bit_length() + 1) for num, den in ratios])
-        shift += d
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (d - den.bit_length() + 1) for num, den in ratios], d
+
+
+def _exact_Dn(A):
+    """per(A)/n! exactly, for the float64 matrix A as given: a Gray-code
+    Ryser sum over the rows of A made integers by :func:`_as_integers`."""
+    rows, shifts = zip(*map(_as_integers, np.asarray(A, dtype=np.float64)))
+    shift = sum(shifts)
     n = len(rows)
     cols = list(zip(*rows))
     sums, inside, size, total = [0] * n, [False] * n, 0, 0
@@ -38,6 +42,42 @@ def _exact_Dn(A):
         term = math.prod(sums)
         total += term if (n - size) % 2 == 0 else -term
     return Fraction(total, math.factorial(n) << shift)
+
+
+def _modes_Dn(lams, modes):
+    """per(K)/n! exactly for K = 1 + sum_k lams[k] u_k u_k^T, with the
+    float64 lams and mode vectors u_k = modes[k] as given: the kernel the
+    modes define, not a float64 K formed from them.
+
+    With u_0 = 1 and lam_0 = 1, K_ij = sum_k lam_k u_k(i) u_k(j). Choosing
+    a mode k_i for each row i of prod_i K_(i, sigma(i)) and summing over
+    the permutations sigma gives per(K) = sum_alpha lam^alpha c_alpha^2
+    prod_k alpha_k!, over the counts alpha = (alpha_0, ..., alpha_r) of
+    the modes chosen, where c_alpha is the coefficient of t^alpha in
+    prod_j sum_k t_k u_k(j). So per(K)/n! = sum_alpha lam^alpha c_alpha^2
+    / multinomial(n; alpha), a sum of positive terms for positive lams.
+    Each u_k is made integers by one power of two (:func:`_as_integers`),
+    so the c_alpha are exact ints and the sum an exact Fraction, in
+    O(n^(r + 1)) work for r modes.
+    """
+    n = len(modes[0])
+    ints, shifts = zip(*map(_as_integers, modes))
+    coeffs = {(0,) * len(modes): 1}  # (alpha_1, ..., alpha_r) -> c_alpha
+    for j in range(n):
+        step = dict(coeffs)  # the constant mode: alpha_0 grows by one
+        for alpha, c in coeffs.items():
+            for k, u in enumerate(ints):
+                up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
+                step[up] = step.get(up, 0) + c * u[j]
+        coeffs = step
+    total = Fraction(0)
+    for alpha, c in coeffs.items():
+        multinomial = math.factorial(n) // math.prod(
+            math.factorial(a) for a in (n - sum(alpha), *alpha))
+        scale = 2 * sum(d * a for d, a in zip(shifts, alpha))
+        total += math.prod(Fraction(lam) ** a for lam, a in zip(lams, alpha)
+                           ) * Fraction(c * c, multinomial << scale)
+    return total
 
 
 def _cosine_Dn(n, eps):

@@ -27,6 +27,14 @@ def _marginal_residual(sol):
     return float(np.abs(rho @ sol.weights - 1.0).max())
 
 
+def test_gauss_legendre_rejects_empty_rules():
+    # unchecked, m = 0 divides by zero and m = -3 fails in a numpy broadcast
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=rf"^a Gauss-Legendre rule needs "
+                           rf"m >= 1 nodes, not {m}$"):
+            gauss_legendre(m)
+
+
 def test_gauss_legendre_integrates_polynomials_exactly():
     for m in (8, 33):
         nodes, weights = gauss_legendre(m)

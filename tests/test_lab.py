@@ -407,6 +407,25 @@ csv_path = {tmp_path / "o.csv"}
         run_converge(cfg)
 
 
+def test_converge_rejects_n_above_max_n_before_any_stage(tmp_path,
+                                                        monkeypatch):
+    # load_config bounds permanent_cap by MAX_N, but a RunConfig built in
+    # code is not loaded: compute_Dn's rule applies up front all the same,
+    # else n = 64 would fail only after the Fredholm limit and the row's
+    # balancing, leaving a CSV of the header and an abort line
+    stages = []
+    monkeypatch.setattr(lab_module, "_build_source",
+                        lambda *args: stages.append(args))
+    csv = tmp_path / "o.csv"
+    cfg = RunConfig(kernel_source=permlim.constant_source(), n_list=(64,),
+                    permanent_cap=100, csv_path=str(csv))
+    with pytest.raises(ConfigError) as info:
+        run_converge(cfg)
+    assert str(info.value) == "n_list entries [64] exceed MAX_N=63"
+    assert stages == []
+    assert not csv.exists()
+
+
 def test_converge_abort_writes_partial_csv(tmp_path, monkeypatch):
     csv = tmp_path / "abort.csv"
     cfg_path = _write_config(tmp_path / "c.ini", f"""

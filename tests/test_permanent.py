@@ -1,8 +1,12 @@
+import concurrent.futures
 import math
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from permlim import (CapExceededError, KernelBuildError, RunConfig,
                      load_config, permanent_brute, quadratic_cost,
                      run_converge, sample_kernel, solve_potential)
 from permlim.cli import main
-from oracles import _cosine_Dn, _exact_Dn, _rel_err
+from oracles import _cosine_Dn, _exact_Dn, _modes_Dn, _rel_err
 
 ORACLE_TOL = 1e-13  # relative, against the exact big-integer permanent
 
@@ -154,6 +158,60 @@ def test_worker_count_does_not_change_bits(cosine_half, monkeypatch):
         assert len({pv.bound.hex() for pv in results}) == 1
 
 
+def _stub_granules(monkeypatch, granule):
+    """A stand-in Glynn loop on granules of ``granule`` terms, run by a
+    process that may use 2 CPUs; returns its tally [calls, sum of starts]."""
+    tally, lock = [0, 0], threading.Lock()
+    one = (np.longdouble(1.0), np.longdouble(1.0))
+
+    def chunk(rows, n, k_start, k_end):
+        with lock:
+            tally[0] += 1
+            tally[1] += k_start
+        return one
+
+    monkeypatch.setattr(permanent_module, "_compiled_kernel", lambda: chunk)
+    monkeypatch.setattr(permanent_module, "_GRANULE", granule)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return tally
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_granules_stream_in_flat_memory(workers, monkeypatch):
+    # the spans are generated as they are reduced, a few per thread ahead;
+    # a list of them all would take about 113 bytes each, 3.7 MB at n = 16
+    tally = _stub_granules(monkeypatch, 1)
+    peaks = []
+    for n in (11, 16):  # 1,024 and 32,768 granules
+        M, terms = np.ones((n, n)), 1 << (n - 1)
+        tally[:] = [0, 0]
+        tracemalloc.start()
+        try:
+            compute_Dn(M, workers=workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert tally == [terms, terms * (terms - 1) // 2]  # each one once
+    assert peaks[1] <= peaks[0] + 32 * 1024
+
+
+def test_threads_are_bounded_by_usable_cpus(monkeypatch):
+    # workers = 8 on a process that may use 2 CPUs starts 2 threads at most
+    pools = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            pools.append((self._max_workers, len(self._threads)))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    tally = _stub_granules(monkeypatch, 1 << 4)
+    compute_Dn(np.ones((12, 12)), workers=8)  # 2^11 terms: 128 granules
+    assert tally == [128, 16 * 127 * 128 // 2]
+    assert len(pools) == 1 and max(pools[0]) <= 2
+
+
 def test_compute_Dn_constant_is_one(const_source):
     for n in (1, 5, 12):
         pv = compute_Dn(sample_kernel(const_source, n))
@@ -259,6 +317,95 @@ def test_compute_Dn_matches_rank_two_cosine(n, eps):
     err = abs(np.longdouble(pv.value) - exact) / exact
     assert err <= 1e-14
     assert err <= pv.bound  # measured: bounds 1.2e-15 to 1.6e-14
+
+
+def _rank_three(n, eps1, eps2):
+    """The modes of 1 + 2 eps1 cos(pi x) cos(pi y) + 2 eps2 cos(2 pi x)
+    cos(2 pi y) on the grid x_i = i/n, and the float64 kernel formed from
+    them; both returned as (lams, modes, K)."""
+    x = grid_nodes(n)
+    u, v = np.cos(np.pi * x), np.cos(2 * np.pi * x)
+    lams = (2 * eps1, 2 * eps2)
+    K = 1.0 + lams[0] * np.outer(u, u) + lams[1] * np.outer(v, v)
+    return lams, (u, v), K
+
+
+def _entry_rounding(lams, modes, K):
+    """(1 + delta)^n - 1, exactly, where delta is the largest relative gap
+    between K's float64 entries and the entries the modes define.
+
+    Every entry here is at least 1 - 0.6 - 0.3 > 0, and each entry of K is
+    the modes' entry times a factor in [1 - delta, 1 + delta]. So each of
+    the n! products in per(K) is the modes' product times a factor in
+    [(1 - delta)^n, (1 + delta)^n], and the D_n of K is within
+    (1 + delta)^n - 1 of the modes' D_n, relative to the latter.
+    """
+    exact = [[Fraction(v) for v in u] for u in modes]
+    lam = [Fraction(v) for v in lams]
+    n = K.shape[0]
+    delta = max(abs(Fraction(K[i, j]) / (1 + sum(
+        l * u[i] * u[j] for l, u in zip(lam, exact))) - 1)
+        for i in range(n) for j in range(n))
+    return (1 + delta) ** n - 1
+
+
+def test_rank_three_oracle_matches_exact_permanent():
+    # both exact, for two kernels whose entries differ by one rounding
+    for n in [*range(1, 13), 16]:
+        lams, modes, K = _rank_three(n, 0.3, 0.15)
+        oracle = _modes_Dn(lams, modes)
+        assert abs(_exact_Dn(K) - oracle) / oracle <= _entry_rounding(
+            lams, modes, K)  # measured: gaps of at most 2.0e-16
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.45])
+def test_rank_three_oracle_reduces_to_rank_two(eps):
+    # At eps2 = 0 the modes' kernel is 1 + lam u_i u_j with lam = 2 eps and
+    # u the float64 cosines; _cosine_Dn is the closed form for the true
+    # cosines c_i, in long double.
+    # * Entries. |u_i u_j - c_i c_j| <= |u_i - c_i| + |u_j - c_j| <= 2 gap,
+    #   and every entry is at least 1 - lam, so they differ by at most
+    #   delta = 2 lam gap / (1 - lam) relative, and the D_n by
+    #   rho = (1 + delta)^n - 1 (as in _entry_rounding). gap is measured
+    #   against long double cosines, within 2^-60 of the true ones: pi
+    #   from arctan, the product by i and the quotient by n move an
+    #   argument below pi by at most pi 2^-62, and cosl adds 2^-63.
+    # * Closed form. All its terms are positive; u_ld = 2^-64. Each
+    #   square c_i^2, i < n/2, is off by at most 2 (2^-60 / c_i + u_ld)
+    #   relative, with c_i >= sin(pi / (2n)) >= 1/n: n^2 2^-60 + n u_ld
+    #   summed over them. e_k takes a product of distinct squares through
+    #   at most n roundings; a term squares e_k and rounds at most n + 4
+    #   more times (the power of 2 eps, the square, the quotient, the
+    #   product), and the sum of the n + 1 terms n more. In all
+    #   eps_ld = 2 n^2 2^-60 + (6 n + 8) u_ld relative.
+    # So |oracle - closed| <= (rho + eps_ld) true <= (rho + eps_ld) closed
+    # / (1 - eps_ld).
+    for n in (6, 12, 20, 26):
+        lams, modes, _ = _rank_three(n, eps, 0.0)
+        oracle = _modes_Dn(lams, modes)
+        closed = Fraction(*_cosine_Dn(n, eps).as_integer_ratio())
+        ld = np.longdouble
+        true = np.cos(4 * np.arctan(ld(1)) * np.arange(1, n + 1, dtype=ld) / n)
+        gap = Fraction(*np.abs(modes[0] - true).max().as_integer_ratio()
+                       ) + Fraction(1, 1 << 60)
+        lam = Fraction(lams[0])
+        rho = (1 + 2 * lam * gap / (1 - lam)) ** n - 1
+        eps_ld = Fraction(2 * n * n, 1 << 60) + Fraction(6 * n + 8, 1 << 64)
+        assert abs(oracle - closed) / closed <= (rho + eps_ld) / (1 - eps_ld)
+
+
+@pytest.mark.parametrize("n", [20, 22, 24, 26])
+def test_compute_Dn_matches_rank_three_oracle(n):
+    # D_n_bound bounds the gap to the exact D_n of K, E, and E is within
+    # rho of the oracle O (_entry_rounding), so |D_n - O| <= bound E +
+    # rho O <= (bound (1 + rho) + rho) O. The bound alone is not enough:
+    # at n = 6 the gap to O is 2.2e-16 against a bound of 1.1e-16.
+    lams, modes, K = _rank_three(n, 0.3, 0.15)
+    oracle = _modes_Dn(lams, modes)
+    rho = _entry_rounding(lams, modes, K)
+    pv = compute_Dn(K, workers=2)
+    bound = Fraction(pv.bound)
+    assert abs(Fraction(pv.value) - oracle) / oracle <= bound * (1 + rho) + rho
 
 
 # each run of a fake compiler appends a line to its log, the file "$0.log"

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import permlim.spectral as spectral_module
 from permlim import (DensitySource, RefinementWarning, SpectralGapError,
                      SpectralGapWarning, absolute_cost, balance_fixed_point,
                      bridge_source, centered_nystrom, compute_Dn,
@@ -230,8 +231,35 @@ def test_fredholm_samples_at_m_and_half_m_only(quad_source, m):
 
 
 def test_fredholm_argument_checks(const_source):
-    with pytest.raises(ValueError):
-        fredholm_limit(const_source, 16)
+    for m in (16, 31):
+        with pytest.raises(ValueError, match=r"^resolution m must be >= 32$"):
+            fredholm_limit(const_source, m)
+
+
+def test_centered_nystrom_rejects_empty_rules_first(const_source,
+                                                    monkeypatch):
+    # the 32-node floor guards fredholm_limit's accuracy and is checked
+    # there; centered_nystrom rejects only an empty rule, before the trial
+    # allocation could report it as a 0 x 0 matrix
+    trials = []
+    monkeypatch.setattr(spectral_module, "_check_allocatable", trials.append)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=r"^resolution m must be >= 1$"):
+            centered_nystrom(const_source, m)
+    assert trials == []
+    assert centered_nystrom(const_source, 1).shape == (1, 1)
+
+
+def test_check_level_is_centered_nystrom_at_half(cosine_half, monkeypatch):
+    # one routine builds both levels: the m // 2 check below the floor too
+    seen = []
+    determinant = spectral_module._centered_determinant
+    monkeypatch.setattr(spectral_module, "_centered_determinant",
+                        lambda S: determinant(seen.append(S.copy()) or S))
+    fredholm_limit(cosine_half, 32)
+    assert [S.shape for S in seen] == [(32, 32), (16, 16)]
+    np.testing.assert_array_equal(seen[0], centered_nystrom(cosine_half, 32))
+    np.testing.assert_array_equal(seen[1], centered_nystrom(cosine_half, 16))
 
 
 def test_spectral_gap_values(const_source, cosine_half):
